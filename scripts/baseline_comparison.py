@@ -21,40 +21,30 @@ import numpy as np
 
 from nimreg import (
     ControllerConfig,
-    build_tau,
     design_gains,
-    estimate_attractor,
     get_benchmark,
     linear_baseline_experiment,
     regulation_experiment,
-    saturate,
-    tau_image_box,
+    synthesize,
 )
 from nimreg.analysis import fit_linear_driver
-from nimreg.internal_model import InternalModel
 
 
 def compare(name: str, kappa: float, k_bar: float, horizon: float, seed: int):
     bench = get_benchmark(name)
-    sets = bench.scenario_sets(seed=seed)
-    est = estimate_attractor(bench.plant, bench.exo, sets,
-                             w0_sampler=bench.w0_sampler)
-    tau = build_tau(bench.plant, bench.exo, bench.d)
-    box = tau_image_box(tau, est)
-    driver = saturate(bench.f, box, tau.image_extent)
-    im = InternalModel(d=bench.d, driver=driver)
+    syn = synthesize(bench, bench.scenario_sets(seed=seed))
 
-    coef = fit_linear_driver(tau, est)
+    coef = fit_linear_driver(syn.tau, syn.est)
     gd = design_gains(bench.d, kappa,
-                      lipschitz=max(driver.L, float(np.linalg.norm(coef))))
+                      lipschitz=max(syn.driver.L, float(np.linalg.norm(coef))))
     k = float(gd.G[0]) + k_bar
 
-    cc = ControllerConfig(im=im, gd=gd, k=k)
-    nl = regulation_experiment(bench.plant, bench.exo, cc, tau, sets,
-                               w0_sampler=bench.w0_sampler, est=est,
+    cc = ControllerConfig(im=syn.im, gd=gd, k=k)
+    nl = regulation_experiment(bench.plant, bench.exo, cc, syn.tau, syn.sets,
+                               w0_sampler=bench.w0_sampler, est=syn.est,
                                horizon=horizon, scenario=f"{name}-nonlinear")
-    lin = linear_baseline_experiment(bench.plant, bench.exo, tau, est, sets,
-                                     gd, k, w0_sampler=bench.w0_sampler,
+    lin = linear_baseline_experiment(bench.plant, bench.exo, syn.tau, syn.est,
+                                     syn.sets, gd, k, w0_sampler=bench.w0_sampler,
                                      horizon=horizon)
     return nl, lin, coef
 

@@ -14,17 +14,8 @@ import sys
 
 import numpy as np
 
-from nimreg import (
-    build_tau,
-    design_gains,
-    estimate_attractor,
-    find_kappa_star,
-    get_benchmark,
-    saturate,
-    tau_image_box,
-)
-from nimreg.analysis import _sample_scenario, tracking_error_decay
-from nimreg.internal_model import InternalModel
+from nimreg import design_gains, find_kappa_star, get_benchmark, synthesize
+from nimreg.analysis import tracking_error_decay
 
 
 def main() -> int:
@@ -38,29 +29,25 @@ def main() -> int:
     args = ap.parse_args()
 
     bench = get_benchmark(args.benchmark)
-    sets = bench.scenario_sets(seed=args.seed)
-    est = estimate_attractor(bench.plant, bench.exo, sets,
-                             w0_sampler=bench.w0_sampler)
-    tau = build_tau(bench.plant, bench.exo, bench.d)
-    box = tau_image_box(tau, est)
-    driver = saturate(bench.f, box, tau.image_extent)
-    im = InternalModel(d=bench.d, driver=driver)
+    syn = synthesize(bench, bench.scenario_sets(seed=args.seed))
+    tau = syn.tau
 
-    search = find_kappa_star(bench.plant, bench.exo, im, tau, sets,
+    search = find_kappa_star(bench.plant, bench.exo, syn.im, tau, syn.sets,
                              w0_sampler=bench.w0_sampler)
     kappa_star = search.kappa
     print(f"kappa* = {kappa_star:.6g} (lower bound 2L|P| = {search.kappa_lb:.6g}, "
           f"rate at kappa* = {search.rate:.4g})")
 
     mults = [float(m) for m in args.multipliers.split(",")]
+    # the probe states of find_kappa_star: same generator seed and draw order
     rng = np.random.default_rng(args.seed + 3)
-    z0, w0, xi0, _ = _sample_scenario(sets, bench.plant, bench.exo, rng,
-                                      args.n_runs, w0_sampler=bench.w0_sampler,
-                                      xi_box=tau.image_box)
+    z0, w0, xi0, _ = syn.sets.sample(bench.exo, rng, args.n_runs,
+                                     w0_sampler=bench.w0_sampler,
+                                     xi_box=tau.image_box)
     rates = []
     for m in mults:
-        gd = design_gains(bench.d, m * kappa_star, lipschitz=driver.L)
-        fit = tracking_error_decay(bench.plant, bench.exo, im, tau, gd.G,
+        gd = design_gains(bench.d, m * kappa_star, lipschitz=syn.driver.L)
+        fit = tracking_error_decay(bench.plant, bench.exo, syn.im, tau, gd.G,
                                    z0=z0, w0=w0, xi0=xi0, horizon=args.horizon)
         rates.append(fit.alpha)
         print(f"kappa = {m * kappa_star:12.6g}  alpha = {fit.alpha:.4g}  "

@@ -56,6 +56,7 @@ from .internal_model import (
     verify_internal_model,
 )
 from .sim import ControllerConfig, regulator_output, run_closed_loop
+from .synthesis import Synthesis, synthesize
 
 __version__ = "0.1.0"
 
@@ -81,6 +82,7 @@ __all__ = [
     "SaturatedDriver",
     "ScenarioSets",
     "SearchError",
+    "Synthesis",
     "TauChain",
     "auto_feedback_gain",
     "build_gain",
@@ -105,6 +107,7 @@ __all__ = [
     "run_closed_loop",
     "saturate",
     "solve_lyapunov",
+    "synthesize",
     "tau_image_box",
     "verify_internal_model",
 ]

@@ -26,9 +26,9 @@ from typing import Callable
 import numpy as np
 
 from .dynsys import (ExosystemSpec, PlantSpec, ScenarioSets, as_array_rhs,
-                     box_contains, inflate_box, sample_box, zero_dynamics_field)
+                     inflate_box, zero_dynamics_field)
 from .errors import BoundednessError, ConfigError, FitError, IntegrationError, PreconditionError
-from .integrators import Trajectory, rk4_fixed
+from .integrators import Trajectory, _hermite, rk4_fixed
 from .internal_model import InternalModel, TauChain
 from .sim import ControllerConfig, run_closed_loop, run_observer_cascade
 
@@ -41,7 +41,6 @@ __all__ = [
     "graph_distance",
     "DecayFit",
     "fit_decay",
-    "chi_norms",
     "tracking_error_decay",
     "GraphReport",
     "graph_invariance_experiment",
@@ -65,7 +64,8 @@ class AttractorEstimate:
 
     points is (n+r, N).  For matched clouds block_len gives the retained
     samples per source and points are source-major, so column j*block_len + i
-    is source j at the i-th retention time.
+    is source j at the i-th retention time.  tau_cache maps a TauChain to its
+    values on points.
     """
 
     points: np.ndarray
@@ -94,18 +94,6 @@ class AttractorEstimate:
         return self.points[:, j * self.block_len]
 
 
-def _hermite_fill(y0, y1, f0, f1, h, thetas):
-    """Cubic Hermite values at relative positions thetas in [0, 1).
-
-    y0, y1, f0, f1 have shape (n_int, m); result (n_int, len(thetas), m)."""
-    d = y1 - y0
-    a = 3.0 * d - h * (2.0 * f0 + f1)
-    b = -2.0 * d + h * (f0 + f1)
-    th = thetas[None, :, None]
-    return (y0[:, None, :] + th * (h * f0[:, None, :]
-            + th * (a[:, None, :] + th * b[:, None, :])))
-
-
 def _thin(points: np.ndarray, resolution: float) -> np.ndarray:
     """Keep one representative per occupied grid cell of the given size.
     points is (N, m); result (K, m), ordered by cell key for determinism."""
@@ -129,11 +117,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     if n_sources is None:
         n_sources = sets.n_samples
     rng = np.random.default_rng(sets.seed)
-    z0 = sample_box(sets.z_box, n_sources, rng)
-    if w0_sampler is not None:
-        w0 = np.asarray(w0_sampler(n_sources, rng), dtype=float)
-    else:
-        w0 = sample_box(exo.w_box, n_sources, rng)
+    z0, w0, _, _ = sets.sample(exo, rng, n_sources, w0_sampler=w0_sampler)
     if z0.shape[0] != plant.n or w0.shape != (exo.r, n_sources):
         raise ConfigError("initial-condition sample has wrong dimensions")
     x0 = np.concatenate([z0, w0], axis=0)
@@ -173,7 +157,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
 
     dt_eff = traj.t[1] - traj.t[0]
     n_sub = max(1, int(np.ceil(dt_eff / (resolution / (2.0 * v_max)))))
-    thetas = np.arange(n_sub) / n_sub
+    thetas = (np.arange(n_sub) / n_sub)[:, None]
     kept = []
     # chunk the Hermite fill so the dense samples never exist all at once
     chunk = max(1, int(2e6 // max(n_sub, 1)))
@@ -182,8 +166,10 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
         fb = rhs(block.T).T
         for lo in range(0, n_ret - 1, chunk):
             hi = min(lo + chunk, n_ret - 1)
-            dense = _hermite_fill(block[lo:hi], block[lo + 1:hi + 1],
-                                  fb[lo:hi], fb[lo + 1:hi + 1], dt_eff, thetas)
+            # (hi - lo, n_sub, m): every interval at every sub-position
+            dense = _hermite(block[lo:hi, None], block[lo + 1:hi + 1, None],
+                             fb[lo:hi, None], fb[lo + 1:hi + 1, None],
+                             dt_eff, thetas)
             kept.append(_thin(dense.reshape(-1, m), resolution))
     merged = _thin(np.concatenate(kept, axis=0), resolution)
     return AttractorEstimate(points=np.ascontiguousarray(merged.T), sources=x0,
@@ -241,11 +227,10 @@ def _nearest_distance(queries: np.ndarray, refs: np.ndarray,
 
 
 def _tau_on_cloud(tau: TauChain, est: AttractorEstimate) -> np.ndarray:
-    key = id(tau)
-    hit = est.tau_cache.get(key)
+    hit = est.tau_cache.get(tau)
     if hit is None or hit.shape[1] != est.points.shape[1]:
         hit = tau(est.points)
-        est.tau_cache[key] = hit
+        est.tau_cache[tau] = hit
     return hit
 
 
@@ -264,7 +249,7 @@ def tau_image_box(tau: TauChain, est: AttractorEstimate,
 
 def validate_xi_box(xi_box: np.ndarray, tau: TauChain) -> np.ndarray:
     """Require the tau image extent strictly inside xi_box."""
-    extent = getattr(tau, "image_extent", None)
+    extent = tau.image_extent
     if extent is None:
         raise PreconditionError("tau image box not computed yet")
     if not (np.all(xi_box[:, 0] < extent[:, 0]) and np.all(xi_box[:, 1] > extent[:, 1])):
@@ -365,45 +350,25 @@ def fit_decay(t: np.ndarray, magnitude: np.ndarray, *, t_min: float | None = Non
 # shared helpers for experiments ------------------------------------------------
 
 
-def chi_norms(tau: TauChain, traj: Trajectory) -> np.ndarray:
-    """|xi - tau(z, w)| along a trajectory; shape (n_pts,) or (n_pts, batch)."""
+def _graph_states(traj: Trajectory, rows=slice(None)) -> np.ndarray:
+    """Stack [z; w; xi] query columns for every (time, run) pair of the
+    selected time rows; column t * batch + run."""
     layout = traj.meta["layout"]
-    zw_slots = list(range(layout.z.start, layout.z.stop)) + list(
-        range(layout.w.start, layout.w.stop))
-    states = traj.states
-    batched = states.ndim == 3
-    if not batched:
-        states = states[:, :, None]
-    n_pts, _, B = states.shape
-    zw = states[:, zw_slots, :].transpose(1, 0, 2).reshape(len(zw_slots), -1)
-    xi = states[:, layout.xi, :].transpose(1, 0, 2).reshape(layout.d, -1)
-    chi = xi - tau(zw)
-    norms = np.sqrt(np.sum(chi ** 2, axis=0)).reshape(n_pts, B)
-    return norms if batched else norms[:, 0]
-
-
-def _graph_states(traj: Trajectory) -> np.ndarray:
-    """Stack [z; w; xi] query columns for every (time, run) pair."""
-    layout = traj.meta["layout"]
-    slots = (list(range(layout.z.start, layout.z.stop))
-             + list(range(layout.w.start, layout.w.stop))
-             + list(range(layout.xi.start, layout.xi.stop)))
-    states = traj.states
+    slots = [i for part in (layout.z, layout.w, layout.xi)
+             for i in range(part.start, part.stop)]
+    states = traj.states[rows]
     if states.ndim == 2:
         states = states[:, :, None]
     return states[:, slots, :].transpose(1, 0, 2).reshape(len(slots), -1)
 
 
-def _sample_scenario(sets: ScenarioSets, plant: PlantSpec, exo: ExosystemSpec,
-                     rng, n: int, w0_sampler=None, xi_box=None):
-    z0 = sample_box(sets.z_box, n, rng)
-    if w0_sampler is not None:
-        w0 = np.asarray(w0_sampler(n, rng), dtype=float)
-    else:
-        w0 = sample_box(exo.w_box, n, rng)
-    xi0 = sample_box(xi_box, n, rng) if xi_box is not None else None
-    e0 = sample_box(sets.e_interval, n, rng)[0]
-    return z0, w0, xi0, e0
+def _chi_norms(tau: TauChain, traj: Trajectory) -> np.ndarray:
+    """|xi - tau(z, w)| along a trajectory; shape (n_pts,) or (n_pts, batch)."""
+    q = _graph_states(traj)
+    nr = q.shape[0] - traj.meta["layout"].d
+    chi = q[nr:] - tau(q[:nr])
+    norms = np.sqrt(np.sum(chi ** 2, axis=0)).reshape(traj.t.size, -1)
+    return norms if traj.states.ndim == 3 else norms[:, 0]
 
 
 def tracking_error_decay(plant, exo, im, tau, G, *, z0, w0, xi0,
@@ -416,7 +381,7 @@ def tracking_error_decay(plant, exo, im, tau, G, *, z0, w0, xi0,
     x0 = np.concatenate([z0, w0, xi0], axis=0)
     traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
                                 h=h, dt_out=dt_out, guard=guard)
-    med = np.median(chi_norms(tau, traj), axis=1)
+    med = np.median(_chi_norms(tau, traj), axis=1)
     return fit_decay(traj.t, med, floor=floor)
 
 
@@ -490,8 +455,8 @@ def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
     xi_box = sets.xi_box if sets.xi_box is not None else tau.image_box
     validate_xi_box(xi_box, tau)
     rng = np.random.default_rng(sets.seed + 1)
-    z0, w0, xi0, _ = _sample_scenario(sets, plant, exo, rng, n_runs,
-                                      w0_sampler=w0_sampler, xi_box=xi_box)
+    z0, w0, xi0, _ = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
+                                 xi_box=xi_box)
     x0 = np.concatenate([z0, w0, xi0], axis=0)
     try:
         traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
@@ -502,13 +467,7 @@ def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
                            t_checked=np.array([]), distances=np.array([[]]),
                            error=f"integration failed at t={exc.t_fail:g}")
     times = _check_times(horizon, head_window, head_dt)
-    idx = np.searchsorted(traj.t, times - 1e-12)
-    sub = traj.states[idx]
-    layout = traj.meta["layout"]
-    slots = (list(range(layout.z.start, layout.z.stop))
-             + list(range(layout.w.start, layout.w.stop))
-             + list(range(layout.xi.start, layout.xi.stop)))
-    queries = sub[:, slots, :].transpose(1, 0, 2).reshape(len(slots), -1)
+    queries = _graph_states(traj, np.searchsorted(traj.t, times - 1e-12))
     ref = est if curve_est is None else curve_est
     dist = graph_distance(tau, ref, queries).reshape(times.size, n_runs)
     terminal = graph_distance(tau, est, queries[:, -n_runs:])
@@ -661,8 +620,8 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
     if xi_box is None:
         raise PreconditionError("no xi sample box available")
     rng = np.random.default_rng(sets.seed + 2)
-    z0, w0, xi0, e0 = _sample_scenario(sets, plant, exo, rng, n_runs,
-                                       w0_sampler=w0_sampler, xi_box=xi_box)
+    z0, w0, xi0, e0 = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
+                                  xi_box=xi_box)
     x0 = np.concatenate([z0, e0[None, :], w0, xi0], axis=0)
     gains = {"kappa": float(cc.gd.kappa), "k": float(cc.k), "k_bar": float(cc.k_bar),
              "C": float(cc.im.driver.C), "L": float(cc.im.driver.L),
@@ -677,9 +636,12 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
                                     form="xi", method=method, rtol=rtol,
                                     atol=atol, dt_out=dt_out, guard=guard)
                     for i in range(x0.shape[1])]
+            meta = dict(runs[0].meta)
+            for key in ("n_steps", "n_rejected"):
+                meta[key] = sum(r.meta[key] for r in runs)
             traj = Trajectory(t=runs[0].t,
                               states=np.stack([r.states for r in runs], axis=2),
-                              meta=dict(runs[0].meta))
+                              meta=meta)
     except IntegrationError as exc:
         return RunReport(scenario=scenario, gains=gains, eps=eps, eps_asym=eps_asym,
                          t_bar=None, tail_sup_e=np.inf, fit_e=None, fit_chi=None,
@@ -704,17 +666,13 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
         except FitError:
             pass
         try:
-            med_chi = np.median(chi_norms(tau, traj), axis=1)
+            med_chi = np.median(_chi_norms(tau, traj), axis=1)
             fit_chi = fit_decay(traj.t, med_chi, t_max=0.7 * horizon, floor=1e-9)
         except FitError:
             pass
         if est is not None:
             times = _check_times(horizon, 0.5, 0.05)
-            idx = np.searchsorted(traj.t, times - 1e-12)
-            slots = (list(range(layout.z.start, layout.z.stop))
-                     + list(range(layout.w.start, layout.w.stop))
-                     + list(range(layout.xi.start, layout.xi.stop)))
-            q = traj.states[idx][:, slots, :].transpose(1, 0, 2).reshape(len(slots), -1)
+            q = _graph_states(traj, np.searchsorted(traj.t, times - 1e-12))
             dvals = graph_distance(tau, est, q).reshape(times.size, -1)
             floor = 4.0 * est.resolution if est.resolution else 1e-9
             try:
@@ -726,7 +684,8 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
                      t_bar=t_bar, tail_sup_e=tail_sup, fit_e=fit_e, fit_chi=fit_chi,
                      fit_dist=fit_dist, verdicts=verdicts,
                      integrator={"method": method, "h": h, "dt_out": dt_out,
-                                 "n_steps": traj.meta.get("n_steps", 0)},
+                                 "n_steps": traj.meta.get("n_steps", 0),
+                                 "n_rejected": traj.meta.get("n_rejected", 0)},
                      trajectory=traj)
 
 
@@ -773,7 +732,7 @@ def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
             acc = acc + coef[i] * eta[i]
         return acc
 
-    driver = saturate(f_lin, tau.image_box, getattr(tau, "image_extent", None))
+    driver = saturate(f_lin, tau.image_box, tau.image_extent)
     im_lin = InternalModel(d=tau.d, driver=driver)
     cc = ControllerConfig(im=im_lin, gd=gd, k=k)
     report = regulation_experiment(plant, exo, cc, tau, sets,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynsys import ExosystemSpec, PlantSpec, ScenarioSets, as_array_rhs, inflate_box
 from .errors import ConfigError
-from .integrators import dopri5
+from .integrators import _hermite, dopri5
 
 __all__ = ["Benchmark", "registry", "get_benchmark", "reference_cycle"]
 
@@ -55,13 +55,6 @@ def _vdp_rhs(mu: float):
     return rhs
 
 
-def _hermite_state(y0, y1, f0, f1, h, theta):
-    d = y1 - y0
-    a = 3.0 * d - h * (2.0 * f0 + f1)
-    b = -2.0 * d + h * (f0 + f1)
-    return y0 + theta * (h * f0 + theta * (a + theta * b))
-
-
 def reference_cycle(mu: float = 1.0) -> dict:
     """Limit cycle of w' = (w2, mu (1 - w1^2) w2 - w1) as dense samples over
     one period, cached per mu.
@@ -91,12 +84,12 @@ def reference_cycle(mu: float = 1.0) -> dict:
         lo, hi = 0.0, 1.0
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if _hermite_state(y0, y1, f0, f1, h, mid)[1] < 0.0:
+            if _hermite(y0, y1, f0, f1, h, mid)[1] < 0.0:
                 lo = mid
             else:
                 hi = mid
         theta = 0.5 * (lo + hi)
-        return dense.t[i] + theta * h, _hermite_state(y0, y1, f0, f1, h, theta)
+        return dense.t[i] + theta * h, _hermite(y0, y1, f0, f1, h, theta)
 
     t_a, state_a = refine(hits[0])
     t_b, _ = refine(hits[1])
@@ -121,13 +114,8 @@ def _cycle_sampler(mu: float):
         idx = np.clip(np.searchsorted(t, phases) - 1, 0, t.size - 2)
         h = t[idx + 1] - t[idx]
         theta = ((phases - t[idx]) / h)[:, None]
-        y0, y1 = states[idx], states[idx + 1]
-        f0, f1 = fvals[idx], fvals[idx + 1]
-        d = y1 - y0
-        a = 3.0 * d - h[:, None] * (2.0 * f0 + f1)
-        b = -2.0 * d + h[:, None] * (f0 + f1)
-        pts = y0 + theta * (h[:, None] * f0 + theta * (a + theta * b))
-        return pts.T
+        return _hermite(states[idx], states[idx + 1], fvals[idx],
+                        fvals[idx + 1], h[:, None], theta).T
     return sample
 
 

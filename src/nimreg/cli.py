@@ -23,11 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .bench import Benchmark, get_benchmark, registry
+from .bench import get_benchmark, registry
 from .errors import ConfigError, NimregError
 from .gain import design_gains, find_kappa_star
-from .internal_model import InternalModel, build_tau, saturate, verify_internal_model
 from .sim import ControllerConfig
+from .synthesis import Synthesis, synthesize
 
 # keys where "auto" (or "none") means: let the pipeline decide
 _AUTO_KEYS = {"d", "poles", "kappa", "k", "mu"}
@@ -152,63 +152,54 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 @dataclass
 class Pipeline:
     cfg: RunConfig
-    bench: Benchmark
-    sets: object
-    est: analysis.AttractorEstimate
-    tau: object
-    im: InternalModel
-    verification: object
+    syn: Synthesis
     design: object
     k: float | None
     kappa_search: object | None
 
 
-def build_pipeline(cfg: RunConfig, need_gains: bool = True) -> Pipeline:
-    """Attractor cloud, tau chain, saturated internal model, gains.
-
-    In baseline mode gains stay None unless pinned in the config; the
-    comparator picks its own mild defaults.
-    """
+def _synthesis(cfg: RunConfig) -> Synthesis:
     bench = get_benchmark(cfg.benchmark, mu=cfg.mu)
-    d = cfg.d if cfg.d is not None else bench.d
     sets = bench.scenario_sets(n_samples=cfg.n_samples, seed=cfg.seed)
-    est = analysis.estimate_attractor(
-        bench.plant, bench.exo, sets, w0_sampler=bench.w0_sampler,
-        transient_time=cfg.transient_time, sample_time=cfg.sample_time,
-        h=cfg.h, resolution=cfg.resolution, guard=cfg.guard)
-    tau = build_tau(bench.plant, bench.exo, d)
-    box = analysis.tau_image_box(tau, est)
-    driver = saturate(bench.f, box, tau.image_extent)
-    im = InternalModel(d=d, driver=driver)
-    ver = verify_internal_model(im, tau, est)
+    return synthesize(bench, sets, d=cfg.d, transient_time=cfg.transient_time,
+                      sample_time=cfg.sample_time, h=cfg.h,
+                      resolution=cfg.resolution, guard=cfg.guard)
+
+
+def build_pipeline(cfg: RunConfig, syn: Synthesis | None = None) -> Pipeline:
+    """Synthesis (built from cfg unless given) plus gains.
+
+    A given syn must come from a config that differs from cfg only in the
+    gain keys.  In baseline mode gains stay None unless pinned in the config;
+    the comparator picks its own mild defaults.
+    """
+    if syn is None:
+        syn = _synthesis(cfg)
+    bench, d, L = syn.bench, syn.im.d, syn.driver.L
     design = None
     k = None
     search = None
-    if need_gains:
-        if cfg.baseline:
-            if cfg.kappa is not None:
-                design = design_gains(d, cfg.kappa, lipschitz=driver.L,
-                                      poles=cfg.poles)
-            if cfg.k is not None:
-                k = float(cfg.k)
+    if cfg.baseline:
+        if cfg.kappa is not None:
+            design = design_gains(d, cfg.kappa, lipschitz=L, poles=cfg.poles)
+        if cfg.k is not None:
+            k = float(cfg.k)
+    else:
+        if cfg.kappa is None:
+            search = find_kappa_star(bench.plant, bench.exo, syn.im, syn.tau,
+                                     syn.sets, w0_sampler=bench.w0_sampler,
+                                     poles=cfg.poles)
+            design = search.design
         else:
-            if cfg.kappa is None:
-                search = find_kappa_star(bench.plant, bench.exo, im, tau, sets,
-                                         w0_sampler=bench.w0_sampler,
-                                         poles=cfg.poles)
-                design = search.design
-            else:
-                design = design_gains(d, cfg.kappa, lipschitz=driver.L,
-                                      poles=cfg.poles)
-            if cfg.k is None:
-                k = analysis.auto_feedback_gain(bench.plant, bench.exo, im, tau,
-                                                design, sets,
-                                                w0_sampler=bench.w0_sampler,
-                                                eps=cfg.eps, h=cfg.h)
-            else:
-                k = float(cfg.k)
-    return Pipeline(cfg=cfg, bench=bench, sets=sets, est=est, tau=tau, im=im,
-                    verification=ver, design=design, k=k, kappa_search=search)
+            design = design_gains(d, cfg.kappa, lipschitz=L, poles=cfg.poles)
+        if cfg.k is None:
+            k = analysis.auto_feedback_gain(bench.plant, bench.exo, syn.im,
+                                            syn.tau, design, syn.sets,
+                                            w0_sampler=bench.w0_sampler,
+                                            eps=cfg.eps, h=cfg.h)
+        else:
+            k = float(cfg.k)
+    return Pipeline(cfg=cfg, syn=syn, design=design, k=k, kappa_search=search)
 
 
 # output writers --------------------------------------------------------------------
@@ -231,9 +222,14 @@ def write_report(path: Path, items: dict) -> None:
 
 def write_trajectory_csv(path: Path, pipe: Pipeline, report,
                          run_index: int = 0) -> None:
-    """One run of the closed loop in the canonical column layout."""
+    """One run of the closed loop in the canonical column layout.
+
+    A run that failed before producing a laid-out trajectory writes no CSV,
+    and a CSV left at path by an earlier run is removed, so it cannot pass
+    for this run's output."""
     traj = report.trajectory
     if traj is None or traj.meta.get("layout") is None:
+        path.unlink(missing_ok=True)
         return
     layout = traj.meta["layout"]
     states = traj.states
@@ -245,10 +241,11 @@ def write_trajectory_csv(path: Path, pipe: Pipeline, report,
     z = states[:, layout.z]
     w = states[:, layout.w]
     xi = states[:, layout.xi]
-    tau_vals = pipe.tau(np.concatenate([z, w], axis=1).T).T
+    tau = pipe.syn.tau
+    tau_vals = tau(np.concatenate([z, w], axis=1).T).T
     chi = np.sqrt(np.sum((xi - tau_vals) ** 2, axis=1))
     queries = np.concatenate([z, w, xi], axis=1).T
-    gdist = analysis.graph_distance(pipe.tau, pipe.est, queries)
+    gdist = analysis.graph_distance(tau, pipe.syn.est, queries)
     header = (["t", "e", "u", "v"]
               + [f"z_{i + 1}" for i in range(z.shape[1])]
               + [f"w_{i + 1}" for i in range(w.shape[1])]
@@ -269,7 +266,7 @@ def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
     items = {
         "benchmark": cfg.benchmark,
         "experiment": experiment,
-        "d": pipe.im.d,
+        "d": pipe.syn.im.d,
         "n_samples": cfg.n_samples,
         "seed": cfg.seed,
         "method": report.integrator.get("method", cfg.method),
@@ -284,8 +281,8 @@ def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
         "k_bar": report.gains.get("k_bar"),
         "C": report.gains.get("C"),
         "L": report.gains.get("L"),
-        "residual_flow": pipe.verification.residual_flow,
-        "residual_output": pipe.verification.residual_output,
+        "residual_flow": pipe.syn.ver.residual_flow,
+        "residual_output": pipe.syn.ver.residual_output,
         "tail_sup_e": report.tail_sup_e,
         "t_bar": report.t_bar,
         "alpha_e": report.fit_e.alpha if report.fit_e else None,
@@ -309,18 +306,18 @@ def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
 
 
 def _run_experiment(pipe: Pipeline):
-    cfg = pipe.cfg
-    bench = pipe.bench
+    cfg, syn = pipe.cfg, pipe.syn
+    bench = syn.bench
     common = dict(w0_sampler=bench.w0_sampler, eps=cfg.eps,
                   eps_asym=cfg.eps_asym, horizon=cfg.horizon, h=cfg.h,
                   n_runs=cfg.n_samples)
     if cfg.baseline:
         return analysis.linear_baseline_experiment(
-            bench.plant, bench.exo, pipe.tau, pipe.est, pipe.sets,
+            bench.plant, bench.exo, syn.tau, syn.est, syn.sets,
             pipe.design, pipe.k, **common), "linear-baseline"
-    cc = ControllerConfig(im=pipe.im, gd=pipe.design, k=pipe.k)
+    cc = ControllerConfig(im=syn.im, gd=pipe.design, k=pipe.k)
     return analysis.regulation_experiment(
-        bench.plant, bench.exo, cc, pipe.tau, pipe.sets, est=pipe.est,
+        bench.plant, bench.exo, cc, syn.tau, syn.sets, est=syn.est,
         dt_out=cfg.dt_out, method=cfg.method, rtol=cfg.rtol, atol=cfg.atol,
         guard=cfg.guard, **common), "regulation"
 
@@ -356,6 +353,8 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     all_passed = True
+    # only mu changes the benchmark; a kappa or k grid shares one synthesis
+    syn = None
     for value in grid:
         cfg_i = replace(cfg, **{param: value})
         stem = f"{cfg.benchmark}_{param}_{value:g}"
@@ -363,7 +362,8 @@ def cmd_sweep(args) -> int:
                "k_bar": "", "tail_sup_e": "", "alpha_e": "", "t_bar": "",
                "passed": "false"}
         try:
-            pipe = build_pipeline(cfg_i)
+            pipe = build_pipeline(cfg_i, None if param == "mu" else syn)
+            syn = pipe.syn
             report, experiment = _run_experiment(pipe)
         except NimregError as exc:
             # a failed grid point must not sink the rest of the sweep
@@ -412,8 +412,7 @@ def cmd_verify(args) -> int:
     names = [cfg.benchmark] if explicit else [b.name for b in registry()]
     ok = True
     for name in names:
-        pipe = build_pipeline(replace(cfg, benchmark=name), need_gains=False)
-        ver = pipe.verification
+        ver = _synthesis(replace(cfg, benchmark=name)).ver
         ok &= ver.passed
         print(f"benchmark={name} residual_flow={ver.residual_flow!r} "
               f"residual_output={ver.residual_output!r} "

@@ -35,7 +35,6 @@ __all__ = [
     "sample_box",
     "box_contains",
     "zero_dynamics_field",
-    "augmented_openloop_field",
     "as_array_rhs",
 ]
 
@@ -138,12 +137,27 @@ class ScenarioSets:
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
 
+    def sample(self, exo: ExosystemSpec, rng: np.random.Generator, count: int,
+               w0_sampler: Callable | None = None, xi_box=None):
+        """Draw count initial states (z0, w0, xi0, e0), in that order.
+
+        w0 comes from w0_sampler when given, else uniformly from exo.w_box;
+        xi0 is None without an xi_box.  The order is fixed so that a caller
+        that discards xi0 or e0 gets the same z0 and w0 as one that uses them."""
+        z0 = sample_box(self.z_box, count, rng)
+        if w0_sampler is not None:
+            w0 = np.asarray(w0_sampler(count, rng), dtype=float)
+        else:
+            w0 = sample_box(exo.w_box, count, rng)
+        xi0 = sample_box(xi_box, count, rng) if xi_box is not None else None
+        e0 = sample_box(self.e_interval, count, rng)[0]
+        return z0, w0, xi0, e0
+
 
 # right-hand sides -----------------------------------------------------------
 #
 # State layouts, by convention:
 #   zero dynamics        x = [z (n), w (r)]
-#   open loop            x = [z (n), zeta, w (r)]
 # Closed-loop layouts (appending the controller state) live in sim.
 
 
@@ -165,24 +179,6 @@ def zero_dynamics_field(plant: PlantSpec, exo: ExosystemSpec) -> Callable:
         fz = _check_len(plant.f0(z, w), n, "f0")
         fw = _check_len(exo.s(w), r, "s")
         return fz + fw
-
-    return field
-
-
-def augmented_openloop_field(plant: PlantSpec, exo: ExosystemSpec, u: float = 0.0) -> Callable:
-    """Full open-loop field on [z; zeta; w] with the constant input u injected
-    into the zeta equation."""
-    n, r = plant.n, exo.r
-
-    def field(x):
-        if len(x) != n + 1 + r:
-            raise ConfigError(f"state has {len(x)} components, expected {n + 1 + r}")
-        z, zeta, w = x[:n], x[n], x[n + 1:]
-        fz = _check_len(plant.f0(z, w), n, "f0")
-        f1v = _check_len(plant.f1(z, zeta, w), n, "f1")
-        zdot = tuple(a + b * zeta for a, b in zip(fz, f1v))
-        zetadot = plant.q(z, zeta, w) + u
-        return zdot + (zetadot,) + _check_len(exo.s(w), r, "s")
 
     return field
 

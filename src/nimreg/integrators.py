@@ -146,6 +146,9 @@ def _initial_step(rhs, x0, f0, t0, t1, rtol, atol):
 
 
 def _hermite(y0, y1, f0, f1, h, theta):
+    """Cubic Hermite value at relative position theta of a step of length h
+    from (y0, f0) to (y1, f1).  Arguments broadcast, so one call evaluates
+    many steps at many positions."""
     d = y1 - y0
     a = 3.0 * d - h * (2.0 * f0 + f1)
     b = -2.0 * d + h * (f0 + f1)

@@ -37,14 +37,16 @@ class TauChain:
     """Evaluator for tau(z, w) = col(tau_1, ..., tau_d).
 
     tau_1 = -q(z, 0, w) and each later entry is the Lie derivative of the
-    previous one along the zero dynamics.  image_box stays None until an
-    attractor estimate fixes it.
+    previous one along the zero dynamics.  image_extent (the bounding box of
+    tau over an attractor estimate) and image_box (that extent, inflated)
+    stay None until analysis.tau_image_box fixes them.
     """
 
     d: int
     plant: PlantSpec
     exo: ExosystemSpec
     image_box: np.ndarray | None = None
+    image_extent: np.ndarray | None = None
 
     def __post_init__(self):
         n = self.plant.n

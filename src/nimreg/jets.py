@@ -14,7 +14,7 @@ jet evaluation can carry a whole batch of points.
 from __future__ import annotations
 
 import math
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -27,8 +27,6 @@ __all__ = [
     "sin",
     "cos",
     "exp",
-    "register_univariate",
-    "apply_univariate",
 ]
 
 
@@ -155,8 +153,7 @@ class Jet:
 # elementary functions ------------------------------------------------------
 #
 # sin/cos/exp use the standard convolution recurrences for Taylor series of
-# solutions of s' = c u', c' = -s u', e' = e u'.  Anything else can be hooked
-# in through the univariate registry below.
+# solutions of s' = c u', c' = -s u', e' = e u'.
 
 
 def _sin_cos(u: Jet):
@@ -198,38 +195,6 @@ def exp(x):
             acc = acc + j * uc[j] * e[k - j]
         e.append(acc / k)
     return Jet(e)
-
-
-# univariate registry -------------------------------------------------------
-#
-# A registered function supplies its Taylor coefficients at a point:
-# taylor_fn(x0, order) -> sequence of f^(k)(x0)/k! for k = 0..order.
-# Composition with a jet is then a truncated Horner substitution, so new
-# smooth scalar functions can be added without touching the Jet class.
-
-_UNIVARIATE: dict[str, Callable] = {}
-
-
-def register_univariate(name: str, taylor_fn: Callable) -> None:
-    _UNIVARIATE[name] = taylor_fn
-
-
-def apply_univariate(name: str, x):
-    if name not in _UNIVARIATE:
-        raise CapabilityError(f"no jet rule registered for {name!r}")
-    taylor_fn = _UNIVARIATE[name]
-    if not isinstance(x, Jet):
-        return taylor_fn(x, 0)[0]
-    c = taylor_fn(x.coeffs[0], x.order)
-    dx = Jet(list(x.coeffs))
-    dx.coeffs[0] = _zero_like(x.coeffs[0])
-    out = Jet.constant(c[x.order], x.order)
-    for k in range(x.order - 1, -1, -1):
-        out = out * dx + c[k]
-    return out
-
-
-register_univariate("exp", lambda x0, n: [np.exp(x0) / math.factorial(k) for k in range(n + 1)])
 
 
 def _coeff(value, k: int):

@@ -1,55 +1,28 @@
 """Shared fixtures: benchmark pipelines are expensive, so clouds, internal
 models, and gain searches are built once per session and memoized by name."""
 
-from dataclasses import dataclass
-
 import pytest
 
 from nimreg import (
+    Synthesis,
     auto_feedback_gain,
-    build_tau,
     estimate_attractor,
     find_kappa_star,
     get_benchmark,
-    saturate,
-    tau_image_box,
-    verify_internal_model,
+    synthesize,
 )
-from nimreg.internal_model import InternalModel
 
 
-@dataclass(eq=False)
-class Stack:
-    """Everything the synthesis pipeline produces up to gain design."""
-
-    bench: object
-    sets: object
-    est: object
-    tau: object
-    driver: object
-    im: object
-    ver: object
-
-
-def _build_stack(name: str) -> Stack:
+def _build_stack(name: str) -> Synthesis:
     bench = get_benchmark(name)
-    sets = bench.scenario_sets()
-    est = estimate_attractor(bench.plant, bench.exo, sets,
-                             w0_sampler=bench.w0_sampler)
-    tau = build_tau(bench.plant, bench.exo, bench.d)
-    box = tau_image_box(tau, est)
-    driver = saturate(bench.f, box, tau.image_extent)
-    im = InternalModel(d=bench.d, driver=driver)
-    ver = verify_internal_model(im, tau, est)
-    return Stack(bench=bench, sets=sets, est=est, tau=tau, driver=driver,
-                 im=im, ver=ver)
+    return synthesize(bench, bench.scenario_sets())
 
 
 @pytest.fixture(scope="session")
 def stacks():
     memo = {}
 
-    def get(name: str) -> Stack:
+    def get(name: str) -> Synthesis:
         if name not in memo:
             memo[name] = _build_stack(name)
         return memo[name]

@@ -275,6 +275,29 @@ def test_auto_feedback_gain_exhaustion(stacks):
                            k_bar_max=0.5)
 
 
+def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
+    import nimreg.sim
+
+    s = stacks("harmonic")
+    metas = []
+    original = nimreg.sim.integrate
+
+    def recording(*args, **kwargs):
+        traj = original(*args, **kwargs)
+        metas.append(dict(traj.meta))
+        return traj
+
+    monkeypatch.setattr(nimreg.sim, "integrate", recording)
+    gd = design_gains(2, 4.0, lipschitz=s.driver.L)
+    cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
+    rep = regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
+                                w0_sampler=s.bench.w0_sampler, horizon=5.0,
+                                n_runs=3, fit_curves=False, method="dopri5")
+    assert len(metas) == 3
+    assert rep.integrator["n_steps"] == sum(m["n_steps"] for m in metas)
+    assert rep.integrator["n_rejected"] == sum(m["n_rejected"] for m in metas)
+
+
 # decay probe ------------------------------------------------------------------
 
 

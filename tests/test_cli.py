@@ -157,6 +157,21 @@ def test_run_rerun_is_byte_identical(tmp_path):
         (out2 / f"{name}_report.txt").read_bytes()
 
 
+def test_failed_run_removes_stale_csv(tmp_path):
+    # the rerun trips the overflow guard in the closed loop, so it has no
+    # trajectory to write; the first run's CSV must not survive beside its
+    # failed report
+    code1, out = _run(tmp_path, QUICK_HARMONIC)
+    name = "harmonic_regulation"
+    assert code1 == 0 and (out / f"{name}.csv").exists()
+    code2, out = _run(tmp_path, QUICK_HARMONIC + ["--guard", "2.5"])
+    assert code2 == 1
+    report = (out / f"{name}_report.txt").read_text()
+    assert "passed = false" in report
+    assert "integration_error = state magnitude exceeded 2.5" in report
+    assert not (out / f"{name}.csv").exists()
+
+
 def test_failing_run_exits_one_with_report(tmp_path, capsys):
     # vdp baseline is the documented failure case; report still written
     out = tmp_path / "out"
@@ -198,6 +213,22 @@ def test_sweep_tolerates_bad_point(tmp_path, capsys):
     assert agg[1].endswith(",false")
     assert agg[2].endswith(",true")
     assert "error" in (out / "static_k_1_report.txt").read_text()
+
+
+def test_sweep_over_gains_synthesizes_once(tmp_path, monkeypatch):
+    import nimreg.analysis
+
+    calls = []
+    original = nimreg.analysis.estimate_attractor
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nimreg.analysis, "estimate_attractor", counted)
+    main(["sweep", "--param", "k", "--grid", "1.0,3.5",
+          "--out-dir", str(tmp_path)] + QUICK_STATIC)
+    assert len(calls) == 1
 
 
 def test_verify_subcommand(tmp_path, capsys):

@@ -9,7 +9,6 @@ from nimreg import ExosystemSpec, PlantSpec, ScenarioSets, get_benchmark
 from nimreg.dynsys import (
     as_box,
     as_array_rhs,
-    augmented_openloop_field,
     box_contains,
     inflate_box,
     sample_box,
@@ -105,16 +104,6 @@ def test_zero_dynamics_field_harmonic_values():
     out = field([0.3, 0.8, -0.6])
     # z' = -z + w1, w' = (w2, -w1)
     assert np.allclose(out, [-0.3 + 0.8, -0.6, -0.8], atol=1e-15)
-
-
-def test_augmented_openloop_field_adds_error_row():
-    bench = get_benchmark("harmonic")
-    field = augmented_openloop_field(bench.plant, bench.exo, u=0.5)
-    z, zeta, w1, w2 = 0.3, 0.2, 0.8, -0.6
-    out = field([z, zeta, w1, w2])
-    # z' = f0 + f1 zeta, zeta' = q + u, w' = s(w)
-    assert np.allclose(out, [(-z + w1) + 0.1 * zeta,
-                             (w1 + zeta * z) + 0.5, w2, -w1], atol=1e-15)
 
 
 def test_as_array_rhs_batches_columns():

@@ -7,7 +7,7 @@ A_cl = [[-2, 1], [-1, 0]], P = [[0.5, -0.5], [-0.5, 1.5]],
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from nimreg import build_gain, design_gains, kappa_lower_bound, place_poles, solve_lyapunov
@@ -100,6 +100,9 @@ stable_poles = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(poles=stable_poles)
+# eigenvalues of the placed matrix miss this set by 1.1e-6, yet its
+# characteristic polynomial is exact to rounding
+@example(poles=[-3.0, -6.0, -8.0, -9.0, -10.0, -8.5, -8.25, -8.625])
 def test_lyapunov_residual_property(poles):
     G0 = place_poles(len(poles), tuple(poles))
     A = companion(G0)
