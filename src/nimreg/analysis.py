@@ -626,22 +626,10 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
     gains = {"kappa": float(cc.gd.kappa), "k": float(cc.k), "k_bar": float(cc.k_bar),
              "C": float(cc.im.driver.C), "L": float(cc.im.driver.L),
              "kappa_lb": float(getattr(cc.gd, "kappa_lb", 0.0))}
+    step = {"h": h} if method == "rk4" else {"rtol": rtol, "atol": atol}
     try:
-        if method == "rk4":
-            traj = run_closed_loop(plant, exo, cc, x0, (0.0, horizon),
-                                   form="xi", h=h, dt_out=dt_out, guard=guard)
-        else:
-            # adaptive integrator takes one trajectory at a time
-            runs = [run_closed_loop(plant, exo, cc, x0[:, i], (0.0, horizon),
-                                    form="xi", method=method, rtol=rtol,
-                                    atol=atol, dt_out=dt_out, guard=guard)
-                    for i in range(x0.shape[1])]
-            meta = dict(runs[0].meta)
-            for key in ("n_steps", "n_rejected"):
-                meta[key] = sum(r.meta[key] for r in runs)
-            traj = Trajectory(t=runs[0].t,
-                              states=np.stack([r.states for r in runs], axis=2),
-                              meta=meta)
+        traj = run_closed_loop(plant, exo, cc, x0, (0.0, horizon), form="xi",
+                               method=method, dt_out=dt_out, guard=guard, **step)
     except IntegrationError as exc:
         return RunReport(scenario=scenario, gains=gains, eps=eps, eps_asym=eps_asym,
                          t_bar=None, tail_sup_e=np.inf, fit_e=None, fit_chi=None,

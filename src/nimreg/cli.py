@@ -353,8 +353,10 @@ def cmd_sweep(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     rows = []
     all_passed = True
-    # only mu changes the benchmark; a kappa or k grid shares one synthesis
+    # only mu changes the benchmark; a kappa or k grid shares one synthesis,
+    # and a k grid also shares the first point's kappa design and search
     syn = None
+    shared = None
     for value in grid:
         cfg_i = replace(cfg, **{param: value})
         stem = f"{cfg.benchmark}_{param}_{value:g}"
@@ -362,8 +364,10 @@ def cmd_sweep(args) -> int:
                "k_bar": "", "tail_sup_e": "", "alpha_e": "", "t_bar": "",
                "passed": "false"}
         try:
-            pipe = build_pipeline(cfg_i, None if param == "mu" else syn)
+            pipe = (build_pipeline(cfg_i, None if param == "mu" else syn)
+                    if shared is None else replace(shared, cfg=cfg_i, k=value))
             syn = pipe.syn
+            shared = pipe if param == "k" else None
             report, experiment = _run_experiment(pipe)
         except NimregError as exc:
             # a failed grid point must not sink the rest of the sweep

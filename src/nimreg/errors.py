@@ -36,8 +36,9 @@ class SearchError(NimregError):
 class IntegrationError(NimregError):
     """Integration aborted (divergence past the overflow guard or step underflow).
 
-    ``partial`` holds the trajectory computed so far; ``failed`` marks which
-    batch columns tripped the guard when the run was batched.
+    ``partial`` holds the trajectory computed so far; ``failed`` is the
+    boolean mask of the batch columns that tripped the guard (0-d for an
+    (m,) state), or None when the run stopped for another reason.
     """
 
     def __init__(self, message, partial=None, failed=None, t_fail=None):

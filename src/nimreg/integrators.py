@@ -1,14 +1,14 @@
 """Fixed-step and adaptive Runge-Kutta integrators.
 
 Right-hand sides are autonomous: rhs(x) -> xdot, where x is an (m,) state or
-an (m, batch) stack of states sharing the same dynamics.  The fixed-step
-integrator advances whole batches at once and is bit-reproducible: identical
-arguments give identical output arrays.  The adaptive integrator is a
-Dormand-Prince 5(4) pair with PI step-size control for single trajectories.
+an (m, batch) stack of states sharing the same dynamics.  Both integrators
+advance whole batches at once and are bit-reproducible.  The adaptive one is a
+Dormand-Prince 5(4) pair with PI step-size control whose columns share one
+step sequence, accepted or rejected on the worst column.
 
 Both abort with IntegrationError (carrying the partial trajectory) when the
 state magnitude passes the overflow guard; the comparison is written so that
-NaN states also trigger it.
+NaN states also trigger it, and the error marks the columns that tripped it.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .errors import ConfigError, IntegrationError
 __all__ = ["Trajectory", "rk4_fixed", "dopri5", "integrate"]
 
 DEFAULT_GUARD = 1e9
+_MAX_STEPS = 5_000_000  # attempted steps per dopri5 call
 
 
 @dataclass
@@ -43,9 +44,9 @@ class Trajectory:
         return self.states[-1]
 
 
-def _guard_ok(x: np.ndarray, guard: float) -> bool:
-    m = np.max(np.abs(x)) if x.size else 0.0
-    return bool(m <= guard)
+def _guard_failed(x: np.ndarray, guard: float) -> np.ndarray:
+    """Mask of the columns of x past guard or NaN (0-d for an (m,) state)."""
+    return ~(np.abs(x) <= guard).all(axis=0)
 
 
 def _span(t_span) -> tuple[float, float]:
@@ -82,9 +83,10 @@ def rk4_fixed(rhs, x0, t_span, h: float = 1e-3, dt_out: float | None = None,
     x = np.array(x0, dtype=float)
     out = np.empty((n_out + 1,) + x.shape)
     out[0] = x
-    if not _guard_ok(x, guard):
+    failed = _guard_failed(x, guard)
+    if failed.any():
         raise IntegrationError("initial state exceeds overflow guard",
-                               failed=x, t_fail=t0)
+                               failed=failed, t_fail=t0)
     half = 0.5 * h_eff
     sixth = h_eff / 6.0
     j = 0
@@ -101,13 +103,14 @@ def rk4_fixed(rhs, x0, t_span, h: float = 1e-3, dt_out: float | None = None,
                 continue
             j += 1
             out[j] = x
-            if not _guard_ok(x, guard):
+            failed = _guard_failed(x, guard)
+            if failed.any():
                 t_grid = t0 + (span / n_out) * np.arange(j + 1)
                 partial = Trajectory(t_grid, out[: j + 1],
                                      {"method": "rk4", "h": h_eff, "n_steps": step + 1})
                 raise IntegrationError(
                     f"state magnitude exceeded {guard:g} at t={t_grid[-1]:g}",
-                    partial=partial, failed=x, t_fail=t_grid[-1])
+                    partial=partial, failed=failed, t_fail=t_grid[-1])
     t_grid = t0 + (span / n_out) * np.arange(n_out + 1)
     t_grid[-1] = t1
     return Trajectory(t_grid, out,
@@ -130,14 +133,18 @@ _E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
                22 / 525, -1 / 40])
 
 
+def _norm(v) -> float:  # RMS over the components of the worst column
+    return math.sqrt(float(np.mean(v ** 2, axis=0).max()))
+
+
 def _initial_step(rhs, x0, f0, t0, t1, rtol, atol):
     sc = atol + rtol * np.abs(x0)
-    d0 = math.sqrt(float(np.mean((x0 / sc) ** 2)))
-    d1 = math.sqrt(float(np.mean((f0 / sc) ** 2)))
+    d0 = _norm(x0 / sc)
+    d1 = _norm(f0 / sc)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     x1 = x0 + h0 * f0
     f1 = rhs(x1)
-    d2 = math.sqrt(float(np.mean(((f1 - f0) / sc) ** 2))) / h0
+    d2 = _norm((f1 - f0) / sc) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -156,9 +163,10 @@ def _hermite(y0, y1, f0, f1, h, theta):
 
 
 def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
-           dt_out: float | None = None, h0: float | None = None,
-           guard: float = DEFAULT_GUARD, max_steps: int = 5_000_000) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) for a single trajectory.
+           dt_out: float | None = None, guard: float = DEFAULT_GUARD) -> Trajectory:
+    """Adaptive Dormand-Prince 5(4) for an (m,) state or an (m, batch) stack
+    whose columns share one step sequence, so every column meets the
+    tolerance.
 
     With dt_out set, states are reported on the uniform grid via cubic
     Hermite interpolation inside each accepted step; otherwise every accepted
@@ -166,11 +174,10 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
     """
     t0, t1 = _span(t_span)
     x = np.array(x0, dtype=float)
-    if x.ndim != 1:
-        raise ConfigError("dopri5 integrates one trajectory at a time")
-    if not _guard_ok(x, guard):
+    failed = _guard_failed(x, guard)
+    if failed.any():
         raise IntegrationError("initial state exceeds overflow guard",
-                               failed=x, t_fail=t0)
+                               failed=failed, t_fail=t0)
 
     if dt_out is not None:
         if dt_out <= 0:
@@ -178,7 +185,7 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
         n_out = max(1, round((t1 - t0) / dt_out))
         t_grid = t0 + ((t1 - t0) / n_out) * np.arange(n_out + 1)
         t_grid[-1] = t1
-        out = np.empty((n_out + 1, x.size))
+        out = np.empty((n_out + 1,) + x.shape)
         out[0] = x
         next_out = 1
     else:
@@ -192,26 +199,30 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
     facold = 1e-4
 
     f0 = rhs(x)
-    h = float(h0) if h0 is not None else _initial_step(rhs, x, f0, t0, t1, rtol, atol)
+    h = _initial_step(rhs, x, f0, t0, t1, rtol, atol)
     t = t0
-    k = np.empty((7, x.size))
+    k = np.empty((7,) + x.shape)
     k[0] = f0
+    # stage sums: one BLAS call on flat views, into a state-shaped buffer
+    kf = k.reshape(7, -1)
+    stage = np.empty(x.shape)
+    sf = stage.reshape(-1)
     n_accepted = n_rejected = 0
 
-    def _fail(msg):
+    def _fail(msg, failed=None):
         if dt_out is not None:
             partial = Trajectory(t_grid[:next_out].copy(), out[:next_out].copy(),
                                  {"method": "dopri5", "rtol": rtol, "atol": atol})
         else:
             partial = Trajectory(np.array(ts), np.array(xs),
                                  {"method": "dopri5", "rtol": rtol, "atol": atol})
-        return IntegrationError(msg, partial=partial, failed=x, t_fail=t)
+        return IntegrationError(msg, partial=partial, failed=failed, t_fail=t)
 
     steps = 0
     while t < t1:
         steps += 1
-        if steps > max_steps:
-            raise _fail(f"exceeded {max_steps} steps")
+        if steps > _MAX_STEPS:
+            raise _fail(f"exceeded {_MAX_STEPS} steps")
         if not (h >= 1e-14 * max(1.0, abs(t))):
             raise _fail(f"step size underflow at t={t:g}")
         last = t + h >= t1
@@ -219,11 +230,13 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
             h = t1 - t
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(1, 7):
-                k[i] = rhs(x + h * (_A[i] @ k[:i]))
-            x_new = x + h * (_A[6] @ k[:6])
-            err_vec = h * (_E @ k)
+                np.dot(_A[i], kf[:i], out=sf)
+                k[i] = rhs(x + h * stage)
+            np.dot(_A[6], kf[:6], out=sf)
+            x_new = x + h * stage
             sc = atol + rtol * np.maximum(np.abs(x), np.abs(x_new))
-            err = math.sqrt(float(np.mean((err_vec / sc) ** 2)))
+            np.dot(_E, kf, out=sf)
+            err = _norm(h * stage / sc)
 
         if not math.isfinite(err):
             n_rejected += 1
@@ -234,8 +247,10 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
             facold = max(err, 1e-4)
             fac = max(facc2, min(facc1, fac11 / (facold ** beta) / safe))
             t_new = t1 if last else t + h
-            if not _guard_ok(x_new, guard):
-                raise _fail(f"state magnitude exceeded {guard:g} at t={t_new:g}")
+            failed = _guard_failed(x_new, guard)
+            if failed.any():
+                raise _fail(f"state magnitude exceeded {guard:g} at t={t_new:g}",
+                            failed)
             if dt_out is not None:
                 while next_out <= n_out and t_grid[next_out] <= t_new + 1e-14 * max(1.0, abs(t_new)):
                     theta = (t_grid[next_out] - t) / h

@@ -26,7 +26,6 @@ __all__ = [
     "InternalModel",
     "build_tau",
     "saturate",
-    "phi_c",
     "ImVerification",
     "verify_internal_model",
 ]
@@ -180,16 +179,6 @@ class InternalModel:
         return eta[0]
 
 
-def phi_c(im: InternalModel, eta) -> np.ndarray:
-    """Array-valued Phi_c for a point (d,) or batch (d, batch)."""
-    eta = np.asarray(eta, dtype=float)
-    comps = im.phi_c([eta[i] for i in range(im.d)])
-    out = np.empty_like(eta)
-    for i, c in enumerate(comps):
-        out[i] = c
-    return out
-
-
 # verification ----------------------------------------------------------------
 
 
@@ -234,7 +223,7 @@ def verify_internal_model(im: InternalModel, tau: TauChain, cloud,
 
     dtau = (tau_vals[:, :, 2:] - tau_vals[:, :, :-2]) / (2.0 * traj.meta["h"])
     mid = tau_vals[:, :, 1:-1]
-    phi_vals = phi_c(im, mid.reshape(im.d, -1)).reshape(mid.shape)
+    phi_vals = as_array_rhs(im.phi_c)(mid.reshape(im.d, -1)).reshape(mid.shape)
     residual_flow = float(np.max(np.abs(dtau - phi_vals)))
 
     tau_cloud = tau(points)

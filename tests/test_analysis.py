@@ -279,12 +279,12 @@ def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
     import nimreg.sim
 
     s = stacks("harmonic")
-    metas = []
+    calls = []
     original = nimreg.sim.integrate
 
-    def recording(*args, **kwargs):
-        traj = original(*args, **kwargs)
-        metas.append(dict(traj.meta))
+    def recording(rhs, x0, *args, **kwargs):
+        traj = original(rhs, x0, *args, **kwargs)
+        calls.append((np.shape(x0), dict(traj.meta)))
         return traj
 
     monkeypatch.setattr(nimreg.sim, "integrate", recording)
@@ -293,9 +293,12 @@ def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
     rep = regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
                                 w0_sampler=s.bench.w0_sampler, horizon=5.0,
                                 n_runs=3, fit_curves=False, method="dopri5")
-    assert len(metas) == 3
-    assert rep.integrator["n_steps"] == sum(m["n_steps"] for m in metas)
-    assert rep.integrator["n_rejected"] == sum(m["n_rejected"] for m in metas)
+    # every run rides in one batch with one shared step sequence
+    assert len(calls) == 1
+    shape, meta = calls[0]
+    assert shape[1:] == (3,)
+    assert rep.integrator["n_steps"] == meta["n_steps"] > 0
+    assert rep.integrator["n_rejected"] == meta["n_rejected"]
 
 
 # decay probe ------------------------------------------------------------------

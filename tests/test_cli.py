@@ -243,3 +243,21 @@ def test_usage_error_exits_two():
     with pytest.raises(SystemExit) as err:
         main(["sweep", "--param", "kappa"])
     assert err.value.code == 2
+
+
+def test_sweep_over_k_searches_kappa_once(tmp_path, monkeypatch):
+    import nimreg.cli
+
+    calls = []
+    original = nimreg.cli.find_kappa_star
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nimreg.cli, "find_kappa_star", counted)
+    main(["sweep", "--param", "k", "--grid", "20,40", "--out-dir", str(tmp_path),
+          "--benchmark", "harmonic", "--horizon", "30", "--n-samples", "6",
+          "--transient-time", "10", "--sample-time", "5"])
+    assert len(calls) == 1
+    assert "kappa_search_rate" in (tmp_path / "harmonic_k_40_report.txt").read_text()

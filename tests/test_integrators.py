@@ -89,6 +89,42 @@ def test_dopri5_guard():
         dopri5(blowup, np.array([1.0]), (0.0, 2.0), guard=1e6)
 
 
+@pytest.mark.parametrize("method", ["rk4", "dopri5"])
+def test_guard_marks_only_the_diverging_column(method):
+    def blowup(x):
+        return x * x
+
+    # poles at t = 10, 1 and 5: only column 1 passes the guard within the span
+    with pytest.raises(IntegrationError) as exc_info:
+        integrate(blowup, np.array([[0.1, 1.0, 0.2]]), (0.0, 2.0),
+                  method=method, guard=1e6)
+    assert exc_info.value.failed.tolist() == [False, True, False]
+
+
+def test_dopri5_single_column_batch_equals_vector_run():
+    a = np.array([[-0.3, 1.0, 0.2], [-1.0, -0.2, 0.5], [0.1, -0.4, -0.6]])
+
+    def field(x):
+        return np.tanh(np.tensordot(a, x, axes=1)) - 0.1 * x ** 3
+
+    x0 = np.array([1.0, -0.5, 2.0])
+    for dt_out in (None, 0.1):
+        vec = dopri5(field, x0, (0.0, 5.0), dt_out=dt_out)
+        col = dopri5(field, x0[:, None], (0.0, 5.0), dt_out=dt_out)
+        assert np.array_equal(vec.t, col.t)
+        assert np.array_equal(vec.states, col.states[:, :, 0])
+        assert vec.meta == col.meta
+
+
+def test_dopri5_batch_meets_tolerance_in_every_column():
+    rates = np.array([0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 50.0])
+    traj = dopri5(lambda x: -rates * x, np.ones((1, rates.size)), (0.0, 2.0),
+                  rtol=1e-9, atol=1e-12, dt_out=0.05)
+    exact = np.exp(-np.outer(traj.t, rates))
+    assert traj.states.shape == (traj.t.size, 1, rates.size)
+    assert np.max(np.abs(traj.states[:, 0, :] - exact)) < 1e-7
+
+
 def test_integrate_dispatch_and_unknown_method():
     traj = integrate(decay, np.array([1.0]), (0.0, 1.0), method="rk4", h=1e-3)
     assert abs(traj.final[0] - np.exp(-1.0)) < 1e-10
