@@ -635,7 +635,7 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
                          t_bar=None, tail_sup_e=np.inf, fit_e=None, fit_chi=None,
                          fit_dist=None,
                          verdicts={"practical": False, "asymptotic": False},
-                         integrator={"method": method, "h": h,
+                         integrator={"method": method, **step,
                                      "error": str(exc), "t_fail": exc.t_fail},
                          trajectory=exc.partial)
 
@@ -653,9 +653,12 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
                               t_max=0.7 * horizon, floor=1e-9)
         except FitError:
             pass
+        # the chi norm of an adaptive run bottoms out near rtol, not at 1e-9
+        chi_floor = 1e-9 if method == "rk4" else max(1e-9, 10.0 * rtol)
         try:
             med_chi = np.median(_chi_norms(tau, traj), axis=1)
-            fit_chi = fit_decay(traj.t, med_chi, t_max=0.7 * horizon, floor=1e-9)
+            fit_chi = fit_decay(traj.t, med_chi, t_max=0.7 * horizon,
+                                floor=chi_floor)
         except FitError:
             pass
         if est is not None:
@@ -671,7 +674,7 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
     return RunReport(scenario=scenario, gains=gains, eps=eps, eps_asym=eps_asym,
                      t_bar=t_bar, tail_sup_e=tail_sup, fit_e=fit_e, fit_chi=fit_chi,
                      fit_dist=fit_dist, verdicts=verdicts,
-                     integrator={"method": method, "h": h, "dt_out": dt_out,
+                     integrator={"method": method, **step, "dt_out": dt_out,
                                  "n_steps": traj.meta.get("n_steps", 0),
                                  "n_rejected": traj.meta.get("n_rejected", 0)},
                      trajectory=traj)
@@ -737,24 +740,30 @@ def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
 def auto_feedback_gain(plant, exo, im, tau, gd, sets, *, w0_sampler=None,
                        eps: float = 1e-2, t_target: float = 30.0,
                        horizon: float = 50.0, n_probe: int = 8,
-                       k_bar_max: float = 256.0, h: float = 1e-3) -> float:
+                       k_bar_max: float = 256.0) -> float:
     """Double k_bar until a probe scenario settles well inside the target
-    time; returns the full gain k = Gamma G + k_bar."""
+    time; returns the full gain k = Gamma G + k_bar.
+
+    Each probe integrates its n_probe scenarios as one batch on dopri5 at
+    the default tolerances.  The verdict is coarse (enter the eps tube by
+    0.75 t_target and stay there), so the fixed RK4 grid would buy nothing
+    but about ten times more steps."""
     from .errors import SearchError
 
     gamma_g = float(np.asarray(gd.G).ravel()[0])
+    probe_sets = ScenarioSets(z_box=sets.z_box, e_interval=sets.e_interval,
+                              xi_box=sets.xi_box, n_samples=n_probe,
+                              seed=sets.seed + 13)
     history = []
     k_bar = 1.0
     while k_bar <= k_bar_max:
         k = gamma_g + k_bar
         cc = ControllerConfig(im=im, gd=gd, k=k)
-        probe_sets = ScenarioSets(z_box=sets.z_box, e_interval=sets.e_interval,
-                                  xi_box=sets.xi_box, n_samples=n_probe,
-                                  seed=sets.seed + 13)
         rep = regulation_experiment(plant, exo, cc, tau, probe_sets,
                                     w0_sampler=w0_sampler, eps=eps,
-                                    horizon=horizon, h=h, n_runs=n_probe,
-                                    fit_curves=False, scenario="gain-probe")
+                                    horizon=horizon, n_runs=n_probe,
+                                    fit_curves=False, scenario="gain-probe",
+                                    method="dopri5")
         ok = (rep.t_bar is not None and rep.t_bar <= 0.75 * t_target
               and rep.tail_sup_e < eps)
         history.append((k_bar, rep.t_bar, rep.tail_sup_e))

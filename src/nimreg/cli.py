@@ -196,7 +196,7 @@ def build_pipeline(cfg: RunConfig, syn: Synthesis | None = None) -> Pipeline:
             k = analysis.auto_feedback_gain(bench.plant, bench.exo, syn.im,
                                             syn.tau, design, syn.sets,
                                             w0_sampler=bench.w0_sampler,
-                                            eps=cfg.eps, h=cfg.h)
+                                            eps=cfg.eps)
         else:
             k = float(cfg.k)
     return Pipeline(cfg=cfg, syn=syn, design=design, k=k, kappa_search=search)

@@ -299,6 +299,45 @@ def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
     assert shape[1:] == (3,)
     assert rep.integrator["n_steps"] == meta["n_steps"] > 0
     assert rep.integrator["n_rejected"] == meta["n_rejected"]
+    # the report records the settings that ran, not rk4's step
+    assert rep.integrator["rtol"] == 1e-9 and rep.integrator["atol"] == 1e-12
+    assert "h" not in rep.integrator
+
+
+def test_auto_feedback_gain_probes_once_on_dopri5(stacks, kappa_stars,
+                                                  monkeypatch):
+    import nimreg.analysis
+
+    s = stacks("harmonic")
+    gd = kappa_stars("harmonic").design
+    methods = []
+    original = nimreg.analysis.regulation_experiment
+
+    def recording(*args, **kwargs):
+        methods.append(kwargs.get("method"))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nimreg.analysis, "regulation_experiment", recording)
+    k = auto_feedback_gain(s.bench.plant, s.bench.exo, s.im, s.tau, gd, s.sets,
+                           w0_sampler=s.bench.w0_sampler)
+    # the first candidate, k_bar = 1, settles: one batched adaptive probe
+    assert methods == ["dopri5"]
+    assert k == float(gd.G[0]) + 1.0
+
+
+def test_regulation_dopri5_chi_rate_is_tolerance_independent(stacks,
+                                                             kappa_stars):
+    # below about 10 rtol the chi norm of an adaptive run is integration
+    # noise; a fit that reaches into it reads a different rate per rtol
+    s = stacks("vdp")
+    cc = ControllerConfig(im=s.im, gd=kappa_stars("vdp").design, k=130.0)
+    alphas = [
+        regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
+                              w0_sampler=s.bench.w0_sampler, horizon=60.0,
+                              n_runs=4, method="dopri5",
+                              rtol=rtol).fit_chi.alpha
+        for rtol in (1e-9, 1e-10)]
+    assert alphas[1] == pytest.approx(alphas[0], rel=0.02)
 
 
 # decay probe ------------------------------------------------------------------

@@ -147,11 +147,17 @@ def test_run_static_outputs(tmp_path, capsys):
     assert "benchmark = static" in report
 
 
-def test_run_rerun_is_byte_identical(tmp_path):
-    code1, out1 = _run(tmp_path / "a", QUICK_HARMONIC)
-    code2, out2 = _run(tmp_path / "b", QUICK_HARMONIC)
+# kappa pinned, k searched: the rerun goes through the adaptive k_bar probe
+STATIC_AUTO_K = QUICK_STATIC[:4] + ["--k", "auto"] + QUICK_STATIC[6:]
+
+
+@pytest.mark.parametrize("args", [QUICK_HARMONIC, STATIC_AUTO_K],
+                         ids=["harmonic", "static-auto-k"])
+def test_run_rerun_is_byte_identical(tmp_path, args):
+    code1, out1 = _run(tmp_path / "a", args)
+    code2, out2 = _run(tmp_path / "b", args)
     assert code1 == 0 and code2 == 0
-    name = "harmonic_regulation"
+    name = f"{args[1]}_regulation"
     assert (out1 / f"{name}.csv").read_bytes() == (out2 / f"{name}.csv").read_bytes()
     assert (out1 / f"{name}_report.txt").read_bytes() == \
         (out2 / f"{name}_report.txt").read_bytes()
