@@ -55,7 +55,7 @@ from .internal_model import (
     saturate,
     verify_internal_model,
 )
-from .sim import ControllerConfig, regulator_output, run_closed_loop
+from .sim import ControllerConfig, run_closed_loop
 from .synthesis import Synthesis, synthesize
 
 __version__ = "0.1.0"
@@ -103,7 +103,6 @@ __all__ = [
     "place_poles",
     "regulation_experiment",
     "registry",
-    "regulator_output",
     "run_closed_loop",
     "saturate",
     "solve_lyapunov",

@@ -21,6 +21,7 @@ the claim, not of the inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 from typing import Callable
 
 import numpy as np
@@ -188,8 +189,7 @@ def check_forward_invariance(est: AttractorEstimate, plant: PlantSpec,
     idx = np.linspace(0, pts.shape[1] - 1, min(max_points, pts.shape[1])).astype(int)
     rhs = as_array_rhs(zero_dynamics_field(plant, exo))
     endpoints = rk4_fixed(rhs, pts[:, idx], (0.0, t_check), h=h).final
-    d = _nearest_distance(endpoints, pts)
-    worst = float(np.max(d))
+    worst = float(np.max(_nearest([(endpoints, pts)])))
     if worst >= tol:
         raise BoundednessError(
             f"cloud is not forward-invariant at tolerance {tol:g} "
@@ -198,28 +198,51 @@ def check_forward_invariance(est: AttractorEstimate, plant: PlantSpec,
     return worst
 
 
-def _nearest_distance(queries: np.ndarray, refs: np.ndarray,
-                      ref_chunk: int = 65536, q_chunk: int = 128) -> np.ndarray:
-    """Euclidean nearest-neighbor distances, chunked; queries (m, Q), refs (m, N)."""
-    Q = queries.shape[1]
-    out = np.empty(Q)
-    r_sq = np.einsum("ij,ij->j", refs, refs)
-    for qlo in range(0, Q, q_chunk):
-        qs = queries[:, qlo:qlo + q_chunk]
-        q_sq = np.einsum("ij,ij->j", qs, qs)
-        best = np.full(qs.shape[1], np.inf)
-        best_j = np.zeros(qs.shape[1], dtype=np.int64)
-        for rlo in range(0, refs.shape[1], ref_chunk):
-            r = refs[:, rlo:rlo + ref_chunk]
-            d2 = q_sq[:, None] - 2.0 * (qs.T @ r) + r_sq[None, rlo:rlo + r.shape[1]]
-            j = np.argmin(d2, axis=1)
-            v = d2[np.arange(qs.shape[1]), j]
+_REF_CHUNK = 65536
+_Q_CHUNK = 128
+
+
+def _pair_norms(q, q_sq, r, r_sq) -> np.ndarray:
+    """|q[:, i] - r[:, j]| for every pair, from the quadratic expansion
+    (q_sq - 2 q.r) + r_sq.  Built in place: at full chunk size every
+    temporary is about 50 MB."""
+    d = q.T @ r
+    d *= -2.0
+    d += q_sq[:, None]
+    d += r_sq
+    np.maximum(d, 0.0, out=d)
+    return np.sqrt(d, out=d)
+
+
+def _nearest(blocks) -> np.ndarray:
+    """Per query column, min over reference columns j of the sum over blocks
+    of |q - r[:, j]|; blocks is [(q, r), ...] with q (m_b, Q) and r (m_b, N).
+
+    The minimizing j is ranked with the quadratic expansion, chunked into
+    GEMMs, and the distance recomputed exactly there, so values near zero
+    are not polluted by cancellation (residual error ~1e-8 can affect which
+    near-tied point wins, not the returned distance quality)."""
+    n_q, n_ref = blocks[0][0].shape[1], blocks[0][1].shape[1]
+    r_sq = [np.einsum("ij,ij->j", r, r) for _, r in blocks]
+    out = np.empty(n_q)
+    for qlo in range(0, n_q, _Q_CHUNK):
+        qs = [q[:, qlo:qlo + _Q_CHUNK] for q, _ in blocks]
+        nq = qs[0].shape[1]
+        q_sq = [np.einsum("ij,ij->j", q, q) for q in qs]
+        best = np.full(nq, np.inf)
+        best_j = np.zeros(nq, dtype=np.int64)
+        for rlo in range(0, n_ref, _REF_CHUNK):
+            hi = rlo + _REF_CHUNK
+            s = reduce(np.add, (_pair_norms(q, qq, r[:, rlo:hi], rr[rlo:hi])
+                                for (_, r), q, qq, rr in zip(blocks, qs, q_sq, r_sq)))
+            j = np.argmin(s, axis=1)
+            v = s[np.arange(nq), j]
             upd = v < best
             best[upd] = v[upd]
             best_j[upd] = j[upd] + rlo
-        # exact recompute; the quadratic expansion loses digits near zero
-        sel = refs[:, best_j]
-        out[qlo:qlo + qs.shape[1]] = np.sqrt(np.sum((qs - sel) ** 2, axis=0))
+        out[qlo:qlo + nq] = reduce(np.add, (
+            np.sqrt(np.sum((q - r[:, best_j]) ** 2, axis=0))
+            for (_, r), q in zip(blocks, qs)))
     return out
 
 
@@ -247,6 +270,15 @@ def tau_image_box(tau: TauChain, est: AttractorEstimate,
     return box
 
 
+def _xi_sample_box(sets: ScenarioSets, tau: TauChain) -> np.ndarray:
+    """The box xi starts are drawn from: sets.xi_box, else the tau image box."""
+    box = sets.xi_box if sets.xi_box is not None else tau.image_box
+    if box is None:
+        raise PreconditionError("no xi sample box: pass sets.xi_box or compute "
+                                "the tau image box from a cloud first")
+    return box
+
+
 def validate_xi_box(xi_box: np.ndarray, tau: TauChain) -> np.ndarray:
     """Require the tau image extent strictly inside xi_box."""
     extent = tau.image_extent
@@ -257,17 +289,12 @@ def validate_xi_box(xi_box: np.ndarray, tau: TauChain) -> np.ndarray:
     return xi_box
 
 
-def graph_distance(tau: TauChain, est: AttractorEstimate, states,
-                   ref_chunk: int = 65536, q_chunk: int = 128):
+def graph_distance(tau: TauChain, est: AttractorEstimate, states):
     """Distance surrogate to the graph of tau over the cloud:
 
         min over cloud points p of |zw - p| + |xi - tau(p)|.
 
-    states is (n+r+d,) or (n+r+d, Q).  The minimizing index is found with a
-    quadratic expansion and the distance recomputed exactly there, so values
-    near zero are not polluted by cancellation (residual error ~1e-8 can
-    affect which near-tied point wins, not the returned distance quality).
-    """
+    states is (n+r+d,) or (n+r+d, Q)."""
     pts = est.points
     nr = pts.shape[0]
     tau_p = _tau_on_cloud(tau, est)
@@ -277,34 +304,7 @@ def graph_distance(tau: TauChain, est: AttractorEstimate, states,
         X = X[:, None]
     if X.shape[0] != nr + tau.d:
         raise ConfigError(f"state has {X.shape[0]} slots, expected {nr + tau.d}")
-    zw, xi = X[:nr], X[nr:]
-    Q = X.shape[1]
-    out = np.empty(Q)
-    p_sq = np.einsum("ij,ij->j", pts, pts)
-    tp_sq = np.einsum("ij,ij->j", tau_p, tau_p)
-    for qlo in range(0, Q, q_chunk):
-        zws = zw[:, qlo:qlo + q_chunk]
-        xis = xi[:, qlo:qlo + q_chunk]
-        nq = zws.shape[1]
-        zw_sq = np.einsum("ij,ij->j", zws, zws)
-        xi_sq = np.einsum("ij,ij->j", xis, xis)
-        best = np.full(nq, np.inf)
-        best_j = np.zeros(nq, dtype=np.int64)
-        for rlo in range(0, pts.shape[1], ref_chunk):
-            p = pts[:, rlo:rlo + ref_chunk]
-            tp = tau_p[:, rlo:rlo + ref_chunk]
-            d1 = zw_sq[:, None] - 2.0 * (zws.T @ p) + p_sq[None, rlo:rlo + p.shape[1]]
-            d2 = xi_sq[:, None] - 2.0 * (xis.T @ tp) + tp_sq[None, rlo:rlo + p.shape[1]]
-            s = np.sqrt(np.maximum(d1, 0.0)) + np.sqrt(np.maximum(d2, 0.0))
-            j = np.argmin(s, axis=1)
-            v = s[np.arange(nq), j]
-            upd = v < best
-            best[upd] = v[upd]
-            best_j[upd] = j[upd] + rlo
-        sel = pts[:, best_j]
-        sel_t = tau_p[:, best_j]
-        out[qlo:qlo + nq] = (np.sqrt(np.sum((zws - sel) ** 2, axis=0))
-                             + np.sqrt(np.sum((xis - sel_t) ** 2, axis=0)))
+    out = _nearest([(X[:nr], pts), (X[nr:], tau_p)])
     return float(out[0]) if single else out
 
 
@@ -322,29 +322,55 @@ class DecayFit:
     n_points: int
 
 
-def fit_decay(t: np.ndarray, magnitude: np.ndarray, *, t_min: float | None = None,
-              t_max: float | None = None, floor: float = 1e-12,
-              min_points: int = 10) -> DecayFit:
+_FIT_MIN_POINTS = 10
+
+
+def fit_decay(t: np.ndarray, magnitude: np.ndarray, *, floor: float,
+              t_min: float | None = None) -> DecayFit:
+    """Fit log magnitude against t by least squares on a window the data
+    decides.
+
+    The window starts at the first sample with t >= t_min (the first sample
+    when t_min is None) and runs over the contiguous samples above floor; it
+    ends before the first sample at or below floor.  Whatever comes back
+    above the floor after that is noise and is not fitted.  The experiments
+    take one of two floors: the integrator's noise floor for integrated
+    norms (1e-9 on rk4, max(1e-9, 10 rtol) on dopri5; _noise_floor) and the
+    cloud's coverage radius for graph distances (4 resolution, 1e-9 for a
+    matched cloud; _coverage_floor).  Raises FitError when the window holds
+    fewer than 10 samples.
+    """
     t = np.asarray(t, dtype=float)
     mag = np.asarray(magnitude, dtype=float)
-    mask = mag > floor
-    if t_min is not None:
-        mask &= t >= t_min
-    if t_max is not None:
-        mask &= t <= t_max
-    ts, ms = t[mask], mag[mask]
-    if ts.size < min_points:
+    start = 0 if t_min is None else int(np.searchsorted(t, t_min))
+    settled = np.flatnonzero(~(mag[start:] > floor))
+    stop = start + settled[0] if settled.size else t.size
+    ts, ms = t[start:stop], mag[start:stop]
+    if ts.size < _FIT_MIN_POINTS:
         raise FitError(f"only {ts.size} samples above floor {floor:g} in window, "
-                       f"need {min_points}")
+                       f"need {_FIT_MIN_POINTS}")
     logm = np.log(ms)
     A = np.column_stack([ts, np.ones_like(ts)])
     coef, *_ = np.linalg.lstsq(A, logm, rcond=None)
     slope, intercept = float(coef[0]), float(coef[1])
     resid = float(np.sqrt(np.mean((A @ coef - logm) ** 2)))
-    mag0 = float(mag[0]) if mag[0] > floor else max(float(mag[0]), floor)
+    mag0 = max(float(mag[0]), floor)
     return DecayFit(M=float(np.exp(intercept)) / mag0, alpha=-slope,
                     window=(float(ts[0]), float(ts[-1])), residual=resid,
                     n_points=int(ts.size))
+
+
+def _noise_floor(method: str = "rk4", rtol: float = 1e-9) -> float:
+    """Level where an integrated norm turns into integration noise: 1e-9 on
+    the fixed RK4 grid; on dopri5 the norm bottoms out near rtol instead."""
+    return 1e-9 if method == "rk4" else max(1e-9, 10.0 * rtol)
+
+
+def _coverage_floor(est: AttractorEstimate) -> float:
+    """Level where a graph distance against est measures the cloud's
+    coverage, not the trajectory: 4 grid cells on a thinned cloud; a matched
+    cloud holds the trajectory's own samples and has no such radius."""
+    return 4.0 * est.resolution if est.resolution else 1e-9
 
 
 # shared helpers for experiments ------------------------------------------------
@@ -373,7 +399,7 @@ def _chi_norms(tau: TauChain, traj: Trajectory) -> np.ndarray:
 
 def tracking_error_decay(plant, exo, im, tau, G, *, z0, w0, xi0,
                          horizon: float = 2.0, h: float = 1e-3,
-                         dt_out: float | None = None, floor: float = 1e-9,
+                         dt_out: float | None = None,
                          guard: float = 1e9) -> DecayFit:
     """Median |chi| decay for the observer cascade from the given states."""
     if dt_out is None:
@@ -382,7 +408,7 @@ def tracking_error_decay(plant, exo, im, tau, G, *, z0, w0, xi0,
     traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
                                 h=h, dt_out=dt_out, guard=guard)
     med = np.median(_chi_norms(tau, traj), axis=1)
-    return fit_decay(traj.t, med, floor=floor)
+    return fit_decay(traj.t, med, floor=_noise_floor())
 
 
 # experiments -------------------------------------------------------------------
@@ -429,17 +455,22 @@ def graph_invariance_experiment(plant, exo, im, tau, est, G, *,
                        tol=tol, fit=None, t_checked=traj.t, distances=dist)
 
 
-def _check_times(horizon: float, head_window: float, head_dt: float) -> np.ndarray:
-    head = np.arange(0.0, min(head_window, horizon) + 1e-12, head_dt)
-    coarse = np.arange(np.ceil(head_window), horizon + 1e-12, 1.0)
+# distances are checked every head_dt over the first _HEAD_WINDOW seconds,
+# where the fast transient lives, then once a second
+_HEAD_WINDOW = 0.5
+_HEAD_DT = 0.01
+
+
+def _check_times(horizon: float, head_dt: float) -> np.ndarray:
+    head = np.arange(0.0, min(_HEAD_WINDOW, horizon) + 1e-12, head_dt)
+    coarse = np.arange(np.ceil(_HEAD_WINDOW), horizon + 1e-12, 1.0)
     return np.unique(np.concatenate([head, coarse, [horizon]]))
 
 
 def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
                                  w0_sampler=None, n_runs: int = 50,
                                  horizon: float = 40.0, tol: float = 1e-4,
-                                 h: float = 1e-3, head_window: float = 0.5,
-                                 head_dt: float = 0.01, fit_floor: float | None = None,
+                                 h: float = 1e-3,
                                  curve_est: AttractorEstimate | None = None,
                                  scenario: str = "") -> GraphReport:
     """Random starts in Z x W x Xi; the distance to the graph must fall below
@@ -450,34 +481,28 @@ def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
     when curve_est is given the intermediate distances (and the fit) are
     computed against it instead; expect the curve to floor out near its
     coverage radius."""
-    if tau.image_box is None:
-        raise PreconditionError("tau image box not computed; build it from a cloud first")
-    xi_box = sets.xi_box if sets.xi_box is not None else tau.image_box
-    validate_xi_box(xi_box, tau)
+    xi_box = validate_xi_box(_xi_sample_box(sets, tau), tau)
     rng = np.random.default_rng(sets.seed + 1)
     z0, w0, xi0, _ = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
                                  xi_box=xi_box)
     x0 = np.concatenate([z0, w0, xi0], axis=0)
     try:
         traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
-                                    h=h, dt_out=head_dt)
+                                    h=h, dt_out=_HEAD_DT)
     except IntegrationError as exc:
         return GraphReport(scenario=scenario, max_distance=np.inf,
                            terminal_distance=np.inf, tol=tol, fit=None,
                            t_checked=np.array([]), distances=np.array([[]]),
                            error=f"integration failed at t={exc.t_fail:g}")
-    times = _check_times(horizon, head_window, head_dt)
+    times = _check_times(horizon, _HEAD_DT)
     queries = _graph_states(traj, np.searchsorted(traj.t, times - 1e-12))
     ref = est if curve_est is None else curve_est
     dist = graph_distance(tau, ref, queries).reshape(times.size, n_runs)
     terminal = graph_distance(tau, est, queries[:, -n_runs:])
     med = np.median(dist, axis=1)
-    floor = fit_floor
-    if floor is None:
-        floor = tol if ref is est else max(tol, 4.0 * (ref.resolution or 0.0))
     fit = None
     try:
-        fit = fit_decay(times, med, floor=floor)
+        fit = fit_decay(times, med, floor=max(tol, _coverage_floor(ref)))
     except FitError:
         pass
     return GraphReport(scenario=scenario, max_distance=float(np.max(dist)),
@@ -543,6 +568,7 @@ def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
         dist = graph_distance(tau, est, _graph_states(traj)).reshape(traj.t.size, n_runs)
         med = np.median(dist, axis=1)
         try:
+            # skip the fast observer mode; the floor scales with the kick
             fit = fit_decay(traj.t, med, t_min=t_min, floor=size * 1e-3)
             rates.append(fit.alpha)
             fits.append(fit)
@@ -596,10 +622,14 @@ def _settle_time(t: np.ndarray, abs_e: np.ndarray, eps: float):
     return out
 
 
+# asymptotic regulation is judged on sup |e| over the last fifth of the horizon
+_TAIL_START = 0.8
+
+
 def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
                           w0_sampler=None, est=None, eps: float = 1e-2,
                           eps_asym: float = 1e-4, horizon: float = 100.0,
-                          tail_window=None, h: float = 1e-3, dt_out: float = 0.01,
+                          h: float = 1e-3, dt_out: float = 0.01,
                           n_runs: int | None = None, scenario: str = "",
                           fit_curves: bool = True, guard: float = 1e9,
                           method: str = "rk4", rtol: float = 1e-9,
@@ -612,13 +642,7 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
             f"regulation needs k_bar > 0, got {cc.k_bar:g} (k too small for this gain)")
     if n_runs is None:
         n_runs = sets.n_samples
-    if tail_window is None:
-        tail_window = (0.8 * horizon, horizon)
-    xi_box = sets.xi_box
-    if xi_box is None:
-        xi_box = tau.image_box if tau is not None and tau.image_box is not None else None
-    if xi_box is None:
-        raise PreconditionError("no xi sample box available")
+    xi_box = _xi_sample_box(sets, tau)
     rng = np.random.default_rng(sets.seed + 2)
     z0, w0, xi0, e0 = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
                                   xi_box=xi_box)
@@ -643,31 +667,26 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
     abs_e = np.abs(traj.states[:, layout.e, :])
     settle = _settle_time(traj.t, abs_e, eps)
     t_bar = None if np.any(np.isnan(settle)) else float(np.max(settle))
-    tail_mask = (traj.t >= tail_window[0] - 1e-12) & (traj.t <= tail_window[1] + 1e-12)
-    tail_sup = float(np.max(abs_e[tail_mask]))
+    tail_sup = float(np.max(abs_e[traj.t >= _TAIL_START * horizon - 1e-12]))
     fit_e = fit_chi = fit_dist = None
     if fit_curves:
-        med_e = np.median(abs_e, axis=1)
+        floor = _noise_floor(method, rtol)
         try:
-            fit_e = fit_decay(traj.t, med_e, t_min=0.05 * horizon,
-                              t_max=0.7 * horizon, floor=1e-9)
+            fit_e = fit_decay(traj.t, np.median(abs_e, axis=1), floor=floor)
         except FitError:
             pass
-        # the chi norm of an adaptive run bottoms out near rtol, not at 1e-9
-        chi_floor = 1e-9 if method == "rk4" else max(1e-9, 10.0 * rtol)
         try:
             med_chi = np.median(_chi_norms(tau, traj), axis=1)
-            fit_chi = fit_decay(traj.t, med_chi, t_max=0.7 * horizon,
-                                floor=chi_floor)
+            fit_chi = fit_decay(traj.t, med_chi, floor=floor)
         except FitError:
             pass
         if est is not None:
-            times = _check_times(horizon, 0.5, 0.05)
+            times = _check_times(horizon, 0.05)
             q = _graph_states(traj, np.searchsorted(traj.t, times - 1e-12))
             dvals = graph_distance(tau, est, q).reshape(times.size, -1)
-            floor = 4.0 * est.resolution if est.resolution else 1e-9
             try:
-                fit_dist = fit_decay(times, np.median(dvals, axis=1), floor=floor)
+                fit_dist = fit_decay(times, np.median(dvals, axis=1),
+                                     floor=_coverage_floor(est))
             except FitError:
                 pass
     verdicts = {"practical": t_bar is not None, "asymptotic": tail_sup < eps_asym}

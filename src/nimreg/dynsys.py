@@ -33,7 +33,6 @@ __all__ = [
     "as_box",
     "inflate_box",
     "sample_box",
-    "box_contains",
     "zero_dynamics_field",
     "as_array_rhs",
 ]
@@ -71,14 +70,6 @@ def sample_box(box: np.ndarray, count: int, rng: np.random.Generator) -> np.ndar
     box = as_box(box)
     u = rng.random((box.shape[0], count))
     return box[:, :1] + u * (box[:, 1:] - box[:, :1])
-
-
-def box_contains(box: np.ndarray, points: np.ndarray, margin: float = 0.0) -> bool:
-    """True when every column of points lies in the box shrunk by margin."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    lo = box[:, :1] + margin
-    hi = box[:, 1:] - margin
-    return bool(np.all(pts >= lo) and np.all(pts <= hi))
 
 
 # value types ----------------------------------------------------------------

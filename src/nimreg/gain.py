@@ -191,11 +191,9 @@ def find_kappa_star(plant, exo, im, tau, sets, *, w0_sampler=None, poles=None,
     The certified bound is where the search starts; the returned kappa is the
     first empirically passing value, which may equal the bound.
     """
-    from .analysis import tracking_error_decay
+    from .analysis import _xi_sample_box, tracking_error_decay
 
-    if tau.image_box is None:
-        raise PreconditionError("tau image box not computed; search needs a "
-                                "xi sample box")
+    xi_box = _xi_sample_box(sets, tau)
     d = im.d
     if poles is None:
         poles = [-1.0] * d
@@ -203,7 +201,6 @@ def find_kappa_star(plant, exo, im, tau, sets, *, w0_sampler=None, poles=None,
     P = solve_lyapunov(_companion(G0))
     bound = kappa_lower_bound(im.driver.L, P)
     rng = np.random.default_rng(sets.seed + 3)
-    xi_box = sets.xi_box if sets.xi_box is not None else tau.image_box
     z0, w0, xi0, _ = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
                                  xi_box=xi_box)
 

@@ -34,7 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ControllerConfig",
     "StateLayout",
-    "regulator_output",
     "closed_loop_field_xi",
     "closed_loop_field_eta",
     "zero_dynamics_observer_field",
@@ -62,13 +61,6 @@ class ControllerConfig:
     @property
     def k_bar(self) -> float:
         return self.k - float(self.gd.G[0])
-
-
-def regulator_output(cc: ControllerConfig, xi, y):
-    """Control signal (u, v) from the controller state and measurement:
-    v = -k y, u = xi_1 + v."""
-    v = -cc.k * y
-    return xi[0] + v, v
 
 
 @dataclass(frozen=True)

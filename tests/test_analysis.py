@@ -7,6 +7,8 @@ exact form.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nimreg import (
     ControllerConfig,
@@ -22,7 +24,7 @@ from nimreg import (
     regulation_experiment,
 )
 from nimreg.analysis import (
-    _nearest_distance,
+    _nearest,
     auto_feedback_gain,
     check_forward_invariance,
     graph_invariance_experiment,
@@ -69,7 +71,7 @@ def test_thinned_cloud_covers_raw_samples():
                                  resolution=resolution, **kw)
     raw = estimate_attractor(bench.plant, bench.exo, sets, resolution=None, **kw)
     # every raw sample sits within one grid-cell diagonal of a kept point
-    gaps = _nearest_distance(raw.points, thinned.points)
+    gaps = _nearest([(raw.points, thinned.points)])
     assert float(np.max(gaps)) <= resolution * np.sqrt(3.0) + 1e-12
 
 
@@ -195,7 +197,7 @@ def test_fit_decay_recovers_exponential():
     # exponential fits with M = 1 regardless of amplitude
     t = np.linspace(0, 10, 400)
     mag = 3.0 * np.exp(-0.7 * t)
-    fit = fit_decay(t, mag)
+    fit = fit_decay(t, mag, floor=1e-12)
     assert abs(fit.alpha - 0.7) < 1e-9
     assert abs(fit.M - 1.0) < 1e-9
     assert fit.n_points == 400
@@ -207,6 +209,25 @@ def test_fit_decay_floor_excludes_settled_tail():
     fit = fit_decay(t, mag, floor=1e-10)
     assert abs(fit.alpha - 2.0) < 1e-6
     assert fit.n_points < 800
+
+
+@settings(max_examples=60, deadline=None)
+@given(amp=st.floats(1e-3, 1e3), rate=st.floats(0.05, 50.0),
+       decades=st.integers(2, 12), seed=st.integers(0, 2 ** 32 - 1))
+def test_fit_decay_stops_at_first_floor_crossing(amp, rate, decades, seed):
+    # an exponential down to the floor, then noise that comes back above it:
+    # the window is the leading run above the floor and nothing after it
+    floor = amp * 10.0 ** -decades
+    t_cross = np.log(amp / floor) / rate
+    t = np.linspace(0.0, 4.0 * t_cross, 201)
+    mag = amp * np.exp(-rate * t)
+    first = int(np.flatnonzero(mag <= floor)[0])
+    rng = np.random.default_rng(seed)
+    mag[first + 1:] = floor * rng.uniform(0.5, 10.0, t.size - first - 1)
+    fit = fit_decay(t, mag, floor=floor)
+    assert fit.alpha == pytest.approx(rate, rel=1e-6)
+    assert fit.window[1] < t[first]
+    assert fit.n_points == first
 
 
 def test_fit_decay_needs_enough_points():
@@ -338,6 +359,18 @@ def test_regulation_dopri5_chi_rate_is_tolerance_independent(stacks,
                               rtol=rtol).fit_chi.alpha
         for rtol in (1e-9, 1e-10)]
     assert alphas[1] == pytest.approx(alphas[0], rel=0.02)
+
+
+def test_regulation_vdp_fits_tracking_error_rate(stacks, kappa_stars):
+    # |e| falls below the rk4 noise floor within about half a second, so the
+    # fit has to start at t = 0 to find a rate; e follows chi at about its rate
+    s = stacks("vdp")
+    cc = ControllerConfig(im=s.im, gd=kappa_stars("vdp").design, k=130.0)
+    rep = regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
+                                w0_sampler=s.bench.w0_sampler, horizon=20.0,
+                                n_runs=4)
+    assert rep.fit_e is not None
+    assert rep.fit_e.alpha == pytest.approx(rep.fit_chi.alpha, rel=0.2)
 
 
 # decay probe ------------------------------------------------------------------

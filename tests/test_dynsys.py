@@ -9,7 +9,6 @@ from nimreg import ExosystemSpec, PlantSpec, ScenarioSets, get_benchmark
 from nimreg.dynsys import (
     as_box,
     as_array_rhs,
-    box_contains,
     inflate_box,
     sample_box,
     zero_dynamics_field,
@@ -65,13 +64,7 @@ def test_sample_box_within_bounds_and_deterministic():
     b = sample_box(box, 100, np.random.default_rng(5))
     assert a.shape == (2, 100)
     assert np.array_equal(a, b)
-    assert box_contains(box, a)
-
-
-def test_box_contains_margin():
-    box = as_box([[0.0, 1.0]])
-    assert box_contains(box, np.array([[0.5]]))
-    assert not box_contains(box, np.array([[0.05]]), margin=0.1)
+    assert np.all(a >= box[:, :1]) and np.all(a <= box[:, 1:])
 
 
 # specs -----------------------------------------------------------------------

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nimreg import build_gain, design_gains, kappa_lower_bound, place_poles, solve_lyapunov
+from nimreg import (build_gain, build_tau, design_gains, find_kappa_star,
+                    kappa_lower_bound, place_poles, solve_lyapunov)
 from nimreg.errors import ConfigError
 from nimreg.gain import matched_pole_error
 
@@ -141,3 +142,15 @@ def test_find_kappa_star_harmonic_meets_bound(stacks, kappa_stars):
     assert search.kappa <= search.kappa_lb + 1e-6
     assert search.rate > 0.3
     assert search.history  # probes recorded
+
+
+def test_find_kappa_star_accepts_explicit_xi_box(stacks):
+    # a tau without an image box is fine when the caller names the box the
+    # xi starts are drawn from
+    s = stacks("static")
+    tau = build_tau(s.bench.plant, s.bench.exo, s.bench.d)
+    assert tau.image_box is None
+    sets = s.bench.scenario_sets(xi_box=s.tau.image_box)
+    search = find_kappa_star(s.bench.plant, s.bench.exo, s.im, tau, sets,
+                             w0_sampler=s.bench.w0_sampler)
+    assert search.rate >= 0.3

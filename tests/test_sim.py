@@ -1,9 +1,9 @@
-"""Closed-loop assembly: controller output, state layout, coordinate forms."""
+"""Closed-loop assembly: effective gain, state layout, coordinate forms."""
 
 import numpy as np
 import pytest
 
-from nimreg import ControllerConfig, design_gains, get_benchmark, regulator_output, saturate
+from nimreg import ControllerConfig, design_gains, get_benchmark, saturate
 from nimreg.errors import ConfigError
 from nimreg.internal_model import InternalModel
 from nimreg.sim import (
@@ -21,13 +21,6 @@ def _controller(d=2, kappa=2.0, k=9.0, f=None):
     im = InternalModel(d=d, driver=driver)
     gd = design_gains(d, kappa, lipschitz=driver.L)
     return ControllerConfig(im=im, gd=gd, k=k)
-
-
-def test_regulator_output_values():
-    cc = _controller(k=10.0)
-    u, v = regulator_output(cc, np.array([3.0, 5.0]), 0.1)
-    assert v == -1.0
-    assert u == 2.0
 
 
 def test_k_bar_subtracts_first_gain_entry():
