@@ -20,7 +20,7 @@ the claim, not of the inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
 
@@ -65,8 +65,7 @@ class AttractorEstimate:
 
     points is (n+r, N).  For matched clouds block_len gives the retained
     samples per source and points are source-major, so column j*block_len + i
-    is source j at the i-th retention time.  tau_cache maps a TauChain to its
-    values on points.
+    is source j at the i-th retention time.
     """
 
     points: np.ndarray
@@ -78,7 +77,6 @@ class AttractorEstimate:
     block_len: int | None = None
     resolution: float | None = None
     v_max: float | None = None
-    tau_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def matched(self) -> bool:
@@ -87,12 +85,6 @@ class AttractorEstimate:
     @property
     def n_sources(self) -> int:
         return self.sources.shape[1]
-
-    def source_start(self, j: int) -> np.ndarray:
-        """First retained state of source j (matched clouds only)."""
-        if not self.matched:
-            raise PreconditionError("cloud was thinned; per-source blocks are gone")
-        return self.points[:, j * self.block_len]
 
 
 def _thin(points: np.ndarray, resolution: float) -> np.ndarray:
@@ -249,20 +241,12 @@ def _nearest(blocks) -> np.ndarray:
 # tau image and graph distance ------------------------------------------------
 
 
-def _tau_on_cloud(tau: TauChain, est: AttractorEstimate) -> np.ndarray:
-    hit = est.tau_cache.get(tau)
-    if hit is None or hit.shape[1] != est.points.shape[1]:
-        hit = tau(est.points)
-        est.tau_cache[tau] = hit
-    return hit
-
-
 def tau_image_box(tau: TauChain, est: AttractorEstimate,
                   inflation: float = 0.25, floor: float = 1e-3) -> np.ndarray:
     """Bounding box of tau over the cloud, inflated; also stored on tau.
 
     The uninflated extent is kept as tau.image_extent for margin checks."""
-    vals = _tau_on_cloud(tau, est)
+    vals = tau(est.points)
     extent = np.column_stack([vals.min(axis=1), vals.max(axis=1)])
     box = inflate_box(extent, inflation, floor)
     tau.image_extent = extent
@@ -297,14 +281,13 @@ def graph_distance(tau: TauChain, est: AttractorEstimate, states):
     states is (n+r+d,) or (n+r+d, Q)."""
     pts = est.points
     nr = pts.shape[0]
-    tau_p = _tau_on_cloud(tau, est)
     X = np.asarray(states, dtype=float)
     single = X.ndim == 1
     if single:
         X = X[:, None]
     if X.shape[0] != nr + tau.d:
         raise ConfigError(f"state has {X.shape[0]} slots, expected {nr + tau.d}")
-    out = _nearest([(X[:nr], pts), (X[nr:], tau_p)])
+    out = _nearest([(X[:nr], pts), (X[nr:], tau(pts))])
     return float(out[0]) if single else out
 
 
@@ -388,6 +371,39 @@ def _graph_states(traj: Trajectory, rows=slice(None)) -> np.ndarray:
     return states[:, slots, :].transpose(1, 0, 2).reshape(len(slots), -1)
 
 
+def _distance_curve(tau: TauChain, est: AttractorEstimate, traj: Trajectory,
+                    rows=slice(None)) -> np.ndarray:
+    """Graph distances against est at the selected time rows of traj, shape
+    (rows, batch)."""
+    dist = graph_distance(tau, est, _graph_states(traj, rows))
+    return dist.reshape(traj.t[rows].size, -1)
+
+
+def _median_fit(t: np.ndarray, values: np.ndarray, **fit) -> DecayFit | None:
+    """fit_decay of the median over runs (the columns of values), or None
+    when too few samples clear the floor."""
+    try:
+        return fit_decay(t, np.median(values, axis=1), **fit)
+    except FitError:
+        return None
+
+
+def _matched_starts(est: AttractorEstimate, horizon: float, n_runs: int) -> np.ndarray:
+    """(z, w) starts of the first n_runs sources of a matched cloud, shape
+    (n+r, n_runs).
+
+    Restarted with the cloud's step and stride, these runs retrace retained
+    samples slot for slot; that needs a matched cloud whose sample_time
+    covers the horizon."""
+    if not est.matched:
+        raise PreconditionError("experiments from cloud starts need a matched cloud")
+    if est.sample_time < horizon - 1e-9:
+        raise PreconditionError("cloud sample_time is shorter than the horizon")
+    if est.n_sources < n_runs:
+        raise PreconditionError(f"cloud has {est.n_sources} sources, need {n_runs}")
+    return est.points[:, np.arange(n_runs) * est.block_len]
+
+
 def _chi_norms(tau: TauChain, traj: Trajectory) -> np.ndarray:
     """|xi - tau(z, w)| along a trajectory; shape (n_pts,) or (n_pts, batch)."""
     q = _graph_states(traj)
@@ -437,18 +453,11 @@ def graph_invariance_experiment(plant, exo, im, tau, est, G, *,
 
     Needs a matched cloud with sample_time >= horizon so the queried states
     line up with retained samples; anything else measures cloud coverage."""
-    if not est.matched:
-        raise PreconditionError("invariance check needs a matched cloud")
-    if est.sample_time < horizon - 1e-9:
-        raise PreconditionError("cloud sample_time is shorter than the horizon")
-    if est.n_sources < n_runs:
-        raise PreconditionError(f"cloud has {est.n_sources} sources, need {n_runs}")
-    zw0 = np.stack([est.source_start(j) for j in range(n_runs)], axis=1)
-    xi0 = tau(zw0)
-    x0 = np.concatenate([zw0, xi0], axis=0)
+    zw0 = _matched_starts(est, horizon, n_runs)
+    x0 = np.concatenate([zw0, tau(zw0)], axis=0)
     traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
                                 h=est.h, dt_out=est.dt_sample)
-    dist = graph_distance(tau, est, _graph_states(traj)).reshape(traj.t.size, n_runs)
+    dist = _distance_curve(tau, est, traj)
     return GraphReport(scenario=scenario,
                        max_distance=float(np.max(dist)),
                        terminal_distance=float(np.max(dist[-1])),
@@ -495,19 +504,14 @@ def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
                            t_checked=np.array([]), distances=np.array([[]]),
                            error=f"integration failed at t={exc.t_fail:g}")
     times = _check_times(horizon, _HEAD_DT)
-    queries = _graph_states(traj, np.searchsorted(traj.t, times - 1e-12))
+    rows = np.searchsorted(traj.t, times - 1e-12)
     ref = est if curve_est is None else curve_est
-    dist = graph_distance(tau, ref, queries).reshape(times.size, n_runs)
-    terminal = graph_distance(tau, est, queries[:, -n_runs:])
-    med = np.median(dist, axis=1)
-    fit = None
-    try:
-        fit = fit_decay(times, med, floor=max(tol, _coverage_floor(ref)))
-    except FitError:
-        pass
+    dist = _distance_curve(tau, ref, traj, rows)
+    terminal = _distance_curve(tau, est, traj, rows[-1:])
     return GraphReport(scenario=scenario, max_distance=float(np.max(dist)),
                        terminal_distance=float(np.max(terminal)), tol=tol,
-                       fit=fit, t_checked=times, distances=dist)
+                       fit=_median_fit(times, dist, floor=max(tol, _coverage_floor(ref))),
+                       t_checked=times, distances=dist)
 
 
 @dataclass
@@ -538,43 +542,36 @@ def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
     sizes and compare fitted decay rates of the graph distance.
 
     w stays on the admissible set; the perturbation lives in the transverse
-    (z, xi) directions only."""
-    if not est.matched:
-        raise PreconditionError("perturbation decay needs a matched cloud")
-    if est.sample_time < horizon - 1e-9:
-        raise PreconditionError("cloud sample_time is shorter than the horizon")
-    if est.n_sources < n_runs:
-        raise PreconditionError(f"cloud has {est.n_sources} sources, need {n_runs}")
+    (z, xi) directions only.  Every size's n_runs kicked starts ride in one
+    batch of len(sizes) * n_runs columns; each size's rate is fitted on its
+    own column slice."""
+    zw0 = _matched_starts(est, horizon, n_runs)
     if tau.image_box is None:
         raise PreconditionError("tau image box not computed")
-    n = plant.n
-    zw0 = np.stack([est.source_start(j) for j in range(n_runs)], axis=1)
-    xi_base = tau(zw0)
     half_width = 0.5 * (tau.image_box[:, 1] - tau.image_box[:, 0])
-    rng = np.random.default_rng(seed + 77)
-    rates, fits = [], []
     for size in sizes:
         if size / 2.0 >= float(np.min(half_width)):
             raise PreconditionError(
                 f"perturbation {size:g} exceeds the xi sample box; out of scope")
+    n = plant.n
+    xi_base = tau(zw0)
+    rng = np.random.default_rng(seed + 77)
+    starts = []
+    for size in sizes:
         u_z = rng.standard_normal((n, n_runs))
         u_z /= np.sqrt(np.sum(u_z ** 2, axis=0, keepdims=True))
         u_xi = rng.standard_normal((im.d, n_runs))
         u_xi /= np.sqrt(np.sum(u_xi ** 2, axis=0, keepdims=True))
-        x0 = np.concatenate([zw0[:n] + 0.5 * size * u_z, zw0[n:],
-                             xi_base + 0.5 * size * u_xi], axis=0)
-        traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
-                                    h=est.h, dt_out=est.dt_sample)
-        dist = graph_distance(tau, est, _graph_states(traj)).reshape(traj.t.size, n_runs)
-        med = np.median(dist, axis=1)
-        try:
-            # skip the fast observer mode; the floor scales with the kick
-            fit = fit_decay(traj.t, med, t_min=t_min, floor=size * 1e-3)
-            rates.append(fit.alpha)
-            fits.append(fit)
-        except FitError:
-            rates.append(None)
-            fits.append(None)
+        starts.append(np.concatenate([zw0[:n] + 0.5 * size * u_z, zw0[n:],
+                                      xi_base + 0.5 * size * u_xi], axis=0))
+    traj = run_observer_cascade(plant, exo, im, G, np.concatenate(starts, axis=1),
+                                (0.0, horizon), h=est.h, dt_out=est.dt_sample)
+    dist = _distance_curve(tau, est, traj)
+    # skip the fast observer mode; the floor scales with the kick
+    fits = [_median_fit(traj.t, dist[:, i * n_runs:(i + 1) * n_runs],
+                        t_min=t_min, floor=size * 1e-3)
+            for i, size in enumerate(sizes)]
+    rates = [None if fit is None else fit.alpha for fit in fits]
     return PerturbationReport(scenario=scenario, sizes=tuple(sizes), rates=rates,
                               fits=fits, alpha_req=alpha_req,
                               spread_factor=spread_factor)
@@ -671,24 +668,13 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
     fit_e = fit_chi = fit_dist = None
     if fit_curves:
         floor = _noise_floor(method, rtol)
-        try:
-            fit_e = fit_decay(traj.t, np.median(abs_e, axis=1), floor=floor)
-        except FitError:
-            pass
-        try:
-            med_chi = np.median(_chi_norms(tau, traj), axis=1)
-            fit_chi = fit_decay(traj.t, med_chi, floor=floor)
-        except FitError:
-            pass
+        fit_e = _median_fit(traj.t, abs_e, floor=floor)
+        fit_chi = _median_fit(traj.t, _chi_norms(tau, traj), floor=floor)
         if est is not None:
             times = _check_times(horizon, 0.05)
-            q = _graph_states(traj, np.searchsorted(traj.t, times - 1e-12))
-            dvals = graph_distance(tau, est, q).reshape(times.size, -1)
-            try:
-                fit_dist = fit_decay(times, np.median(dvals, axis=1),
-                                     floor=_coverage_floor(est))
-            except FitError:
-                pass
+            dvals = _distance_curve(tau, est, traj,
+                                    np.searchsorted(traj.t, times - 1e-12))
+            fit_dist = _median_fit(times, dvals, floor=_coverage_floor(est))
     verdicts = {"practical": t_bar is not None, "asymptotic": tail_sup < eps_asym}
     return RunReport(scenario=scenario, gains=gains, eps=eps, eps_asym=eps_asym,
                      t_bar=t_bar, tail_sup_e=tail_sup, fit_e=fit_e, fit_chi=fit_chi,

@@ -68,7 +68,7 @@ def reference_cycle(mu: float = 1.0) -> dict:
         return _CYCLE_CACHE[key]
     rhs = _vdp_rhs(mu)
     settled = dopri5(rhs, np.array([2.0, 0.0]), (0.0, 30.0),
-                     rtol=1e-11, atol=1e-13).final
+                     rtol=1e-11, atol=1e-13, dt_out=30.0).final
     dense = dopri5(rhs, settled, (0.0, 25.0), rtol=1e-11, atol=1e-13,
                    dt_out=1e-3)
     w1, w2 = dense.states[:, 0], dense.states[:, 1]

@@ -94,25 +94,6 @@ def _coerce(key: str, text: str):
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
 
-def _serialize_value(value) -> str:
-    if value is None:
-        return "auto"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, tuple):
-        return ",".join(repr(float(p)) for p in value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def serialize_config(cfg: RunConfig) -> str:
-    """Emit cfg in the config-file format; parsing it back round-trips."""
-    lines = [f"{name} = {_serialize_value(getattr(cfg, name))}"
-             for name in _FIELD_TYPES]
-    return "\n".join(lines) + "\n"
-
-
 def parse_config_file(path: str) -> dict:
     values = {}
     try:

@@ -156,7 +156,6 @@ class GainDesign:
     G: np.ndarray
     P: np.ndarray
     kappa_lb: float
-    pole_error: float
 
 
 def design_gains(d: int, kappa: float, lipschitz: float = 0.0,
@@ -168,8 +167,7 @@ def design_gains(d: int, kappa: float, lipschitz: float = 0.0,
     G = build_gain(G0, kappa)
     return GainDesign(d=d, poles=tuple(complex(p) for p in np.atleast_1d(poles)),
                       G0=G0, kappa=float(kappa), G=G, P=P,
-                      kappa_lb=kappa_lower_bound(lipschitz, P),
-                      pole_error=matched_pole_error(G0, poles))
+                      kappa_lb=kappa_lower_bound(lipschitz, P))
 
 
 @dataclass

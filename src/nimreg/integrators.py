@@ -162,15 +162,15 @@ def _hermite(y0, y1, f0, f1, h, theta):
     return y0 + theta * (h * f0 + theta * (a + theta * b))
 
 
-def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
-           dt_out: float | None = None, guard: float = DEFAULT_GUARD) -> Trajectory:
+def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
+           dt_out: float, guard: float = DEFAULT_GUARD) -> Trajectory:
     """Adaptive Dormand-Prince 5(4) for an (m,) state or an (m, batch) stack
     whose columns share one step sequence, so every column meets the
     tolerance.
 
-    With dt_out set, states are reported on the uniform grid via cubic
-    Hermite interpolation inside each accepted step; otherwise every accepted
-    step is reported.
+    States are reported on the uniform dt_out grid via cubic Hermite
+    interpolation inside each accepted step.  The step sequence does not
+    depend on dt_out, so neither does the final state.
     """
     t0, t1 = _span(t_span)
     x = np.array(x0, dtype=float)
@@ -179,18 +179,14 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
         raise IntegrationError("initial state exceeds overflow guard",
                                failed=failed, t_fail=t0)
 
-    if dt_out is not None:
-        if dt_out <= 0:
-            raise ConfigError("dt_out must be positive")
-        n_out = max(1, round((t1 - t0) / dt_out))
-        t_grid = t0 + ((t1 - t0) / n_out) * np.arange(n_out + 1)
-        t_grid[-1] = t1
-        out = np.empty((n_out + 1,) + x.shape)
-        out[0] = x
-        next_out = 1
-    else:
-        ts = [t0]
-        xs = [x.copy()]
+    if dt_out <= 0:
+        raise ConfigError("dt_out must be positive")
+    n_out = max(1, round((t1 - t0) / dt_out))
+    t_grid = t0 + ((t1 - t0) / n_out) * np.arange(n_out + 1)
+    t_grid[-1] = t1
+    out = np.empty((n_out + 1,) + x.shape)
+    out[0] = x
+    next_out = 1
 
     # PI controller constants as in Hairer's dopri5.
     safe, beta = 0.9, 0.04
@@ -210,12 +206,8 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
     n_accepted = n_rejected = 0
 
     def _fail(msg, failed=None):
-        if dt_out is not None:
-            partial = Trajectory(t_grid[:next_out].copy(), out[:next_out].copy(),
-                                 {"method": "dopri5", "rtol": rtol, "atol": atol})
-        else:
-            partial = Trajectory(np.array(ts), np.array(xs),
-                                 {"method": "dopri5", "rtol": rtol, "atol": atol})
+        partial = Trajectory(t_grid[:next_out].copy(), out[:next_out].copy(),
+                             {"method": "dopri5", "rtol": rtol, "atol": atol})
         return IntegrationError(msg, partial=partial, failed=failed, t_fail=t)
 
     steps = 0
@@ -251,14 +243,10 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
             if failed.any():
                 raise _fail(f"state magnitude exceeded {guard:g} at t={t_new:g}",
                             failed)
-            if dt_out is not None:
-                while next_out <= n_out and t_grid[next_out] <= t_new + 1e-14 * max(1.0, abs(t_new)):
-                    theta = (t_grid[next_out] - t) / h
-                    out[next_out] = _hermite(x, x_new, k[0], k[6], h, min(max(theta, 0.0), 1.0))
-                    next_out += 1
-            else:
-                ts.append(t_new)
-                xs.append(x_new.copy())
+            while next_out <= n_out and t_grid[next_out] <= t_new + 1e-14 * max(1.0, abs(t_new)):
+                theta = (t_grid[next_out] - t) / h
+                out[next_out] = _hermite(x, x_new, k[0], k[6], h, min(max(theta, 0.0), 1.0))
+                next_out += 1
             k[0] = k[6].copy()
             x = x_new
             t = t_new
@@ -270,11 +258,8 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12,
 
     meta = {"method": "dopri5", "rtol": rtol, "atol": atol,
             "n_steps": n_accepted, "n_rejected": n_rejected}
-    if dt_out is not None:
-        out[n_out] = x
-        return Trajectory(t_grid, out, meta)
-    xs[-1] = x
-    return Trajectory(np.array(ts), np.array(xs), meta)
+    out[n_out] = x
+    return Trajectory(t_grid, out, meta)
 
 
 def integrate(rhs, x0, t_span, method: str = "rk4", **kwargs) -> Trajectory:

@@ -128,7 +128,8 @@ class SaturatedDriver:
     L: float
 
     def clamp(self, eta):
-        return [np.clip(c, self.s_box[i, 0], self.s_box[i, 1]) for i, c in enumerate(eta)]
+        return [np.minimum(np.maximum(c, self.s_box[i, 0]), self.s_box[i, 1])
+                for i, c in enumerate(eta)]
 
     def __call__(self, eta):
         return self.f(self.clamp(eta))
@@ -173,10 +174,6 @@ class InternalModel:
         if len(eta) != self.d:
             raise ConfigError(f"eta has {len(eta)} components, expected {self.d}")
         return tuple(eta[1:]) + (-self.driver(eta),)
-
-    def readout(self, eta):
-        """Gamma eta = eta_1."""
-        return eta[0]
 
 
 # verification ----------------------------------------------------------------

@@ -70,13 +70,6 @@ class Jet:
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coefficient(self, k: int):
-        return self.coeffs[k]
-
-    def derivative_value(self, k: int):
-        """The k-th time derivative (coefficient times k!)."""
-        return math.factorial(k) * self.coeffs[k]
-
     # arithmetic -----------------------------------------------------------
 
     def __add__(self, other):

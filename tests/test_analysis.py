@@ -57,8 +57,6 @@ def test_matched_cloud_structure(matched_clouds):
     assert est.block_len is not None
     assert est.n_sources == 20
     assert est.points.shape[1] == 20 * est.block_len
-    col = est.source_start(3)
-    assert np.array_equal(col, est.points[:, 3 * est.block_len])
 
 
 def test_thinned_cloud_covers_raw_samples():
@@ -285,6 +283,41 @@ def test_perturbation_ladder_rejects_degenerate_xi_box(stacks):
     with pytest.raises(PreconditionError):
         perturbation_decay_experiment(s.bench.plant, s.bench.exo, s.im, s.tau,
                                       est, gd.G, horizon=15.0)
+
+
+def test_perturbation_runs_one_cascade(stacks, matched_clouds, kappa_stars,
+                                      monkeypatch):
+    import nimreg.analysis
+
+    s = stacks("harmonic")
+    est, G = matched_clouds("harmonic"), kappa_stars("harmonic").design.G
+    widths = []
+    original = nimreg.analysis.run_observer_cascade
+
+    def recording(plant, exo, im, G, x0, *args, **kwargs):
+        widths.append(np.shape(x0)[1])
+        return original(plant, exo, im, G, x0, *args, **kwargs)
+
+    monkeypatch.setattr(nimreg.analysis, "run_observer_cascade", recording)
+    sizes = (1e-1, 1e-2, 1e-3)
+    rep = perturbation_decay_experiment(s.bench.plant, s.bench.exo, s.im, s.tau,
+                                        est, G, sizes=sizes, n_runs=4, horizon=6.0)
+    assert widths == [len(sizes) * 4]
+    assert len(rep.rates) == len(sizes)
+
+
+def test_perturbation_rate_independent_of_other_sizes(stacks, matched_clouds,
+                                                      kappa_stars):
+    # a size's kicks are drawn first and its columns ride alone in their
+    # slice of the batch, so a second size leaves its rate bit for bit
+    s = stacks("harmonic")
+    kw = dict(n_runs=4, horizon=6.0, seed=5)
+    args = (s.bench.plant, s.bench.exo, s.im, s.tau, matched_clouds("harmonic"),
+            kappa_stars("harmonic").design.G)
+    alone = perturbation_decay_experiment(*args, sizes=(1e-2,), **kw)
+    paired = perturbation_decay_experiment(*args, sizes=(1e-2, 1e-3), **kw)
+    assert alone.rates[0] is not None
+    assert repr(paired.rates[0]) == repr(alone.rates[0])
 
 
 def test_auto_feedback_gain_exhaustion(stacks):

@@ -62,7 +62,8 @@ def test_vdp_sampler_points_lie_on_cycle():
     period = reference_cycle(1.0)["period"]
     rhs = as_array_rhs(bench.exo.s)
     for j in range(8):
-        traj = dopri5(rhs, w0[:, j], (0.0, period), rtol=1e-11, atol=1e-13)
+        traj = dopri5(rhs, w0[:, j], (0.0, period), rtol=1e-11, atol=1e-13,
+                      dt_out=period)
         assert np.max(np.abs(traj.final - w0[:, j])) < 1e-6
 
 

@@ -12,7 +12,6 @@ from nimreg.cli import (
     load_config,
     main,
     parse_config_file,
-    serialize_config,
 )
 from nimreg.errors import ConfigError
 
@@ -43,11 +42,18 @@ def test_coerce_rejects():
         _coerce("baseline", "maybe")
 
 
-def test_serialize_parse_round_trip(tmp_path):
+def test_parse_config_file_builds_run_config(tmp_path):
     cfg = RunConfig(benchmark="vdp", kappa=7.25, k=30.0, poles=(-1.5, -2.5),
                     horizon=55.0, baseline=True, seed=11)
-    path = tmp_path / "roundtrip.cfg"
-    path.write_text(serialize_config(cfg))
+    path = tmp_path / "run.cfg"
+    path.write_text("benchmark = vdp\n"
+                    "kappa = 7.25  # pinned\n"
+                    "k = 30.0\n"
+                    "poles = -1.5, -2.5\n"
+                    "\n"
+                    "horizon = 55\n"
+                    "baseline = true\n"
+                    "seed = 11\n")
     parsed = parse_config_file(str(path))
     rebuilt = RunConfig(**{**asdict(RunConfig()), **parsed})
     assert rebuilt == cfg

@@ -131,7 +131,7 @@ def test_design_gains_wiring():
     assert gd.kappa == 4.0
     assert np.allclose(gd.G, [8.0, 16.0], atol=1e-13)
     assert abs(gd.kappa_lb - (2.0 + np.sqrt(2.0))) < 1e-12
-    assert gd.pole_error <= 1e-8
+    assert matched_pole_error(gd.G0, gd.poles) <= 1e-8
 
 
 def test_find_kappa_star_harmonic_meets_bound(stacks, kappa_stars):

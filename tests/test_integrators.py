@@ -69,7 +69,7 @@ def test_rk4_rejects_bad_step():
 
 def test_dopri5_meets_tolerance_on_rotation():
     x0 = np.array([1.0, 0.0])
-    traj = dopri5(rotation, x0, (0.0, 10.0), rtol=1e-9, atol=1e-12)
+    traj = dopri5(rotation, x0, (0.0, 10.0), rtol=1e-9, atol=1e-12, dt_out=1.0)
     expect = np.array([np.cos(10.0), -np.sin(10.0)])
     assert np.max(np.abs(traj.final - expect)) < 1e-7
 
@@ -86,7 +86,7 @@ def test_dopri5_guard():
         return x * x
 
     with pytest.raises(IntegrationError):
-        dopri5(blowup, np.array([1.0]), (0.0, 2.0), guard=1e6)
+        dopri5(blowup, np.array([1.0]), (0.0, 2.0), dt_out=0.1, guard=1e6)
 
 
 @pytest.mark.parametrize("method", ["rk4", "dopri5"])
@@ -97,7 +97,7 @@ def test_guard_marks_only_the_diverging_column(method):
     # poles at t = 10, 1 and 5: only column 1 passes the guard within the span
     with pytest.raises(IntegrationError) as exc_info:
         integrate(blowup, np.array([[0.1, 1.0, 0.2]]), (0.0, 2.0),
-                  method=method, guard=1e6)
+                  method=method, dt_out=1e-3, guard=1e6)
     assert exc_info.value.failed.tolist() == [False, True, False]
 
 
@@ -108,12 +108,22 @@ def test_dopri5_single_column_batch_equals_vector_run():
         return np.tanh(np.tensordot(a, x, axes=1)) - 0.1 * x ** 3
 
     x0 = np.array([1.0, -0.5, 2.0])
-    for dt_out in (None, 0.1):
-        vec = dopri5(field, x0, (0.0, 5.0), dt_out=dt_out)
-        col = dopri5(field, x0[:, None], (0.0, 5.0), dt_out=dt_out)
-        assert np.array_equal(vec.t, col.t)
-        assert np.array_equal(vec.states, col.states[:, :, 0])
-        assert vec.meta == col.meta
+    vec = dopri5(field, x0, (0.0, 5.0), dt_out=0.1)
+    col = dopri5(field, x0[:, None], (0.0, 5.0), dt_out=0.1)
+    assert np.array_equal(vec.t, col.t)
+    assert np.array_equal(vec.states, col.states[:, :, 0])
+    assert vec.meta == col.meta
+
+
+def test_dopri5_final_state_independent_of_output_grid():
+    # the step sequence ignores dt_out, so a one-interval grid ends on the
+    # same state as a fine one
+    x0 = np.array([1.0, 0.0])
+    coarse = dopri5(rotation, x0, (0.0, 10.0), dt_out=10.0)
+    fine = dopri5(rotation, x0, (0.0, 10.0), dt_out=0.01)
+    assert coarse.t.tolist() == [0.0, 10.0]
+    assert np.array_equal(coarse.final, fine.final)
+    assert coarse.meta == fine.meta
 
 
 def test_dopri5_batch_meets_tolerance_in_every_column():

@@ -67,7 +67,7 @@ def test_derivative_value_scaling():
     x = Jet.variable(0.2, 4)
     j = exp(x)
     for k in range(5):
-        assert abs(j.derivative_value(k) - math.exp(0.2)) < 1e-13
+        assert abs(math.factorial(k) * j.coeffs[k] - math.exp(0.2)) < 1e-13
 
 
 # lie chains -------------------------------------------------------------------
