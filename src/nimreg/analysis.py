@@ -20,6 +20,8 @@ the claim, not of the inputs.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable
@@ -87,11 +89,30 @@ class AttractorEstimate:
         return self.sources.shape[1]
 
 
+def _fold(grid: np.ndarray):
+    """Fold int64 cell-key rows grid (N, m) into one int64 key per row,
+    row-major over the per-axis key ranges: the cell key shared by thinning
+    and the nearest-point search.
+
+    Returns (keys, dims), dims[i] the number of keys axis i spans, or None
+    when the product of the ranges does not fit in int64."""
+    lo = grid.min(axis=0)
+    dims = [int(hi) - int(l) + 1 for hi, l in zip(grid.max(axis=0), lo)]
+    if math.prod(dims) > np.iinfo(np.int64).max:
+        return None
+    return np.ravel_multi_index(tuple((grid - lo).T), dims), np.array(dims)
+
+
 def _thin(points: np.ndarray, resolution: float) -> np.ndarray:
-    """Keep one representative per occupied grid cell of the given size.
-    points is (N, m); result (K, m), ordered by cell key for determinism."""
-    keys = np.floor(points / resolution).astype(np.int64)
-    _, idx = np.unique(keys, axis=0, return_index=True)
+    """Keep one representative per occupied grid cell of the given size: the
+    first point, in input order, to land in the cell.  points is (N, m);
+    result (K, m), in first-occurrence order."""
+    grid = np.floor(points / resolution).astype(np.int64)
+    folded = _fold(grid)
+    if folded is None:
+        _, idx = np.unique(grid, axis=0, return_index=True)
+    else:
+        _, idx = np.unique(folded[0], return_index=True)
     return points[np.sort(idx)]
 
 
@@ -206,14 +227,14 @@ def _pair_norms(q, q_sq, r, r_sq) -> np.ndarray:
     return np.sqrt(d, out=d)
 
 
-def _nearest(blocks) -> np.ndarray:
-    """Per query column, min over reference columns j of the sum over blocks
-    of |q - r[:, j]|; blocks is [(q, r), ...] with q (m_b, Q) and r (m_b, N).
+def _nearest_brute(blocks) -> np.ndarray:
+    """_nearest against every reference column.
 
     The minimizing j is ranked with the quadratic expansion, chunked into
-    GEMMs, and the distance recomputed exactly there, so values near zero
-    are not polluted by cancellation (residual error ~1e-8 can affect which
-    near-tied point wins, not the returned distance quality)."""
+    matrix products, and the distance recomputed exactly there, so values
+    near zero are not polluted by cancellation.  Rounding in the ranking can
+    pick a near-tied point over the true minimizer, so the value can exceed
+    the exact minimum by that rounding."""
     n_q, n_ref = blocks[0][0].shape[1], blocks[0][1].shape[1]
     r_sq = [np.einsum("ij,ij->j", r, r) for _, r in blocks]
     out = np.empty(n_q)
@@ -236,6 +257,123 @@ def _nearest(blocks) -> np.ndarray:
             np.sqrt(np.sum((q - r[:, best_j]) ** 2, axis=0))
             for (_, r), q in zip(blocks, qs)))
     return out
+
+
+# queries whose cell ranges are looked up at once, and candidate pairs
+# evaluated at once: both sizes keep the work in cache
+_CELL_QUERIES = 4096
+_CELL_PAIRS = 32768
+
+
+def _nearest(blocks) -> np.ndarray:
+    """Per query column, min over reference columns j of the sum over blocks
+    of |q - r[:, j]|; blocks is [(q, r), ...] with q (m_b, Q) and r (m_b, N).
+
+    Exact cell search (Bentley, Weide & Yao, ACM TOMS 1980) on the first
+    block.  The reference columns are sorted by folded cell key on a grid of
+    cell size c, and each query takes the exact value over the points of the
+    3^m cells around its own cell.  Every other point is more than c from the
+    query in the first block, and the sum over blocks is at least that, so a
+    minimum below c (less a rounding margin) is the minimum over all points.
+    The grid starts at c = largest axis extent / N and coarsens 4x per level
+    for the queries still open.  A query leaves the search when its cells
+    would hold more than a quarter of the cloud (a gathered pair costs about
+    what a brute-force pair costs, and coarser levels gather more), or when
+    c exceeds the extent; those queries, and every query against a
+    zero-extent cloud, go to _nearest_brute."""
+    q0, r0 = blocks[0]
+    n_ref = r0.shape[1]
+    origin = r0.min(axis=1)[:, None]
+    extent = float(np.max(r0.max(axis=1) - origin[:, 0]))
+    reach = np.max(np.abs(q0 - origin), axis=0, initial=0.0)
+    out = np.empty(q0.shape[1])
+    left = [np.flatnonzero(~np.isfinite(reach))]
+    open_ = np.flatnonzero(np.isfinite(reach))
+    queries = np.concatenate([q for q, _ in blocks])
+    refs = np.concatenate([r for _, r in blocks])
+    cols = np.cumsum([0] + [q.shape[0] for q, _ in blocks])
+    cell = extent / n_ref
+    while open_.size and 0.0 < cell <= extent < np.inf:
+        folded = _fold(np.floor((r0 - origin) / cell).astype(np.int64).T)
+        if folded is not None:
+            keys, dims = folded
+            order = np.argsort(keys)
+            sorted_keys, sorted_refs = keys[order], refs[:, order]
+            still = []
+            for c0 in range(0, open_.size, _CELL_QUERIES):
+                sel = open_[c0:c0 + _CELL_QUERIES]
+                first, count = _cell_ranges(sorted_keys, dims,
+                                            (q0[:, sel] - origin) / cell)
+                gave_up = count.sum(axis=1) > n_ref // 4
+                count[gave_up] = 0
+                best = _ranges_min(queries[:, sel], sorted_refs, first, count, cols)
+                # a computed key can be off by the rounding of (x - origin) / c,
+                # a few ulps of the coordinates' span: far inside this margin
+                done = best < cell - 1e-12 * (cell + extent + reach[sel])
+                out[sel[done]] = best[done]
+                left.append(sel[gave_up])
+                still.append(sel[~done & ~gave_up])
+            open_ = np.concatenate(still)
+        cell *= 4.0
+    left = np.concatenate(left + [open_])
+    if left.size:
+        out[left] = _nearest_brute([(q[:, left], r) for q, r in blocks])
+    return out
+
+
+def _cell_ranges(sorted_keys, dims, scaled):
+    """Where the points of the 3^m cells around each query's cell sit in
+    sorted_keys (sorted keys from _fold of a grid whose lowest key is 0 on
+    every axis): first index and count per query and run, each
+    (nq, 3^(m-1)).  scaled is the queries in cell units, (m, nq).  The 3
+    cells along the last axis are one run of consecutive keys; cells
+    outside the key box count 0."""
+    m = scaled.shape[0]
+    heads = np.array(list(itertools.product((-1, 0, 1), repeat=m - 1)),
+                     dtype=np.int64).reshape(3 ** (m - 1), m - 1).T[:, None, :]
+    dims = dims[:, None]
+    kq = np.clip(np.floor(scaled), -1, dims).astype(np.int64)
+    head = kq[:-1, :, None] + heads                          # (m-1, nq, T)
+    inside = np.all((head >= 0) & (head < dims[:-1, :, None]), axis=0)
+    last_lo = np.maximum(kq[-1] - 1, 0)[:, None]
+    last_hi = np.minimum(kq[-1] + 1, dims[-1] - 1)[:, None]
+    inside &= last_lo <= last_hi
+    first = np.searchsorted(sorted_keys, np.ravel_multi_index(
+        (*head, last_lo), dims[:, 0], mode="clip"), "left")
+    stop = np.searchsorted(sorted_keys, np.ravel_multi_index(
+        (*head, last_hi), dims[:, 0], mode="clip"), "right")
+    return first, np.where(inside, stop - first, 0)
+
+
+def _ranges_min(queries, refs, first, count, cols):
+    """Per query column i, the exact min over the refs columns j in its
+    ranges [first[i, t], first[i, t] + count[i, t]) of the sum over the row
+    blocks cols[b]:cols[b+1] of |queries[:, i] - refs[:, j]|; inf for a
+    query with no columns.  Summed in the order _nearest_brute sums, so
+    equal minimizers give equal values."""
+    per_q = count.sum(axis=1)
+    ends_q = np.cumsum(per_q)
+    best = np.full(per_q.size, np.inf)
+    # groups of about _CELL_PAIRS pairs, each starting at a query with pairs
+    starts = np.unique(np.searchsorted(
+        ends_q, np.arange(0, ends_q[-1], _CELL_PAIRS), "right"))
+    for a, b in zip(starts, [*starts[1:], per_q.size]):
+        cnt, pq = count[a:b].ravel(), per_q[a:b]
+        has = pq > 0
+        ends = np.cumsum(cnt)
+        pos = np.arange(ends[-1]) + np.repeat(first[a:b].ravel() - (ends - cnt), cnt)
+        dist = None
+        for c0, c1 in zip(cols[:-1], cols[1:]):
+            acc = None
+            for j in range(c0, c1):
+                t = refs[j].take(pos)
+                t -= np.repeat(queries[j, a:b], pq)
+                t *= t
+                acc = t if acc is None else np.add(acc, t, out=acc)
+            np.sqrt(acc, out=acc)
+            dist = acc if dist is None else np.add(dist, acc, out=dist)
+        best[a:b][has] = np.minimum.reduceat(dist, (np.cumsum(pq) - pq)[has])
+    return best
 
 
 # tau image and graph distance ------------------------------------------------
@@ -278,7 +416,11 @@ def graph_distance(tau: TauChain, est: AttractorEstimate, states):
 
         min over cloud points p of |zw - p| + |xi - tau(p)|.
 
-    states is (n+r+d,) or (n+r+d, Q)."""
+    states is (n+r+d,) or (n+r+d, Q).  The minimum is exact: a cell grid on
+    the cloud's (z, w) coordinates settles a query once the best value among
+    the points around it is below the cell size, since every other point is
+    at least a cell away in (z, w) alone; queries the grid cannot settle
+    cheaply are compared with every cloud point (_nearest)."""
     pts = est.points
     nr = pts.shape[0]
     X = np.asarray(states, dtype=float)

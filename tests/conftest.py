@@ -1,6 +1,8 @@
 """Shared fixtures: benchmark pipelines are expensive, so clouds, internal
 models, and gain searches are built once per session and memoized by name."""
 
+import json
+
 import pytest
 
 from nimreg import (
@@ -93,10 +95,14 @@ def vdp_auto_k(stacks, kappa_stars):
 # acceptance summary plumbing -------------------------------------------------
 
 _ACCEPTANCE_LINES = []
+_ACCEPTANCE_TIMINGS = []
 
 
-def record_acceptance(line: str) -> None:
+def record_acceptance(line: str, **timing) -> None:
+    """Keep a check's summary line, and its label, verdict, elapsed time and
+    budget for out/acceptance.json."""
     _ACCEPTANCE_LINES.append(line)
+    _ACCEPTANCE_TIMINGS.append(timing)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -105,3 +111,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     terminalreporter.section("acceptance criteria")
     for line in _ACCEPTANCE_LINES:
         terminalreporter.write_line(line)
+    # machine-readable timings, so a check drifting toward its budget shows
+    # before it fails
+    path = config.rootpath / "out" / "acceptance.json"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(_ACCEPTANCE_TIMINGS, indent=1) + "\n")

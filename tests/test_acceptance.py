@@ -40,7 +40,8 @@ def _finish(label: str, ok: bool, detail: str, t0: float, budget: float) -> None
     in_time = elapsed < budget
     verdict = "PASS" if (ok and in_time) else "FAIL"
     line = f"{label}: {detail} [{elapsed:.1f}s/{budget:.0f}s] {verdict}"
-    record_acceptance(line)
+    record_acceptance(line, label=label, verdict=verdict,
+                      elapsed_s=round(elapsed, 3), budget_s=budget)
     assert ok, line
     assert in_time, line
 

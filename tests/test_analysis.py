@@ -1,8 +1,9 @@
 """Attractor clouds, the graph-distance surrogate, decay fits, experiments.
 
-The graph-distance oracle is a plain double loop over the cloud; the chunked
-GEMM path must reproduce it exactly because the minimizer is recomputed in
-exact form.
+The graph-distance oracles evaluate the surrogate at every cloud point.  The
+cell search must reproduce them exactly: it settles a query only when every
+point outside the cells it gathered is farther away than the best it found,
+and hands the queries it cannot settle to the brute-force kernel.
 """
 
 import numpy as np
@@ -23,8 +24,12 @@ from nimreg import (
     graph_distance,
     regulation_experiment,
 )
+import nimreg.analysis
 from nimreg.analysis import (
+    AttractorEstimate,
+    _fold,
     _nearest,
+    _thin,
     auto_feedback_gain,
     check_forward_invariance,
     graph_invariance_experiment,
@@ -71,6 +76,39 @@ def test_thinned_cloud_covers_raw_samples():
     # every raw sample sits within one grid-cell diagonal of a kept point
     gaps = _nearest([(raw.points, thinned.points)])
     assert float(np.max(gaps)) <= resolution * np.sqrt(3.0) + 1e-12
+
+
+def _thin_by_rows(points, resolution):
+    """Thinning by np.unique over whole key rows: the reference for the
+    folded-key path."""
+    keys = np.floor(points / resolution).astype(np.int64)
+    _, idx = np.unique(keys, axis=0, return_index=True)
+    return points[np.sort(idx)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 3000), m=st.integers(1, 4),
+       log_res=st.floats(-3.0, 0.0), seed=st.integers(0, 2**32 - 1))
+def test_thin_folded_keys_match_row_unique(n, m, log_res, seed):
+    # key ranges stay below about 3e4 per axis, so the keys fold
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(n, m)) * rng.uniform(0.1, 3.0, size=m)
+    resolution = 10.0 ** log_res
+    assert _fold(np.floor(points / resolution).astype(np.int64)) is not None
+    np.testing.assert_array_equal(_thin(points, resolution),
+                                  _thin_by_rows(points, resolution))
+
+
+def test_thin_falls_back_to_row_unique_when_keys_overflow():
+    rng = np.random.default_rng(3)
+    points = rng.uniform(-1e5, 1e5, size=(500, 4))
+    points = np.concatenate([points, points[::7]])
+    resolution = 1e-6
+    # per-axis key ranges of about 2e11: their product overflows int64
+    assert _fold(np.floor(points / resolution).astype(np.int64)) is None
+    thinned = _thin(points, resolution)
+    assert thinned.shape == (500, 4)
+    np.testing.assert_array_equal(thinned, _thin_by_rows(points, resolution))
 
 
 def test_estimate_attractor_raises_boundedness():
@@ -121,11 +159,90 @@ def test_graph_distance_matches_brute_force(stacks):
     fast = graph_distance(s.tau, s.est, states)
     for j in range(12):
         slow = _brute_surrogate(s.tau, s.est, states[:, j])
-        # near-tied cloud points can misrank in the quadratic expansion, but
-        # the returned value is recomputed exactly at the winner, so the gap
-        # to the true minimum is bounded by the ranking noise
-        assert slow - 1e-12 <= fast[j] < slow + 1e-8
+        assert slow - 1e-12 <= fast[j] < slow + 1e-12
         assert fast[j] >= 0.0
+
+
+def _exact_graph_distance(tau, est, states):
+    """The surrogate's per-block formula at every cloud point, vectorised."""
+    pts = est.points
+    nr = pts.shape[0]
+    zw = np.sqrt(np.sum((states[:nr, :, None] - pts[:, None, :]) ** 2, axis=0))
+    xi = np.sqrt(np.sum((states[nr:, :, None] - tau(pts)[:, None, :]) ** 2, axis=0))
+    return np.min(zw + xi, axis=1)
+
+
+def _cloud(points):
+    return AttractorEstimate(points=points, sources=points[:, :1],
+                             transient_time=0.0, sample_time=0.0, h=1e-3,
+                             dt_sample=1e-2)
+
+
+def _draw_points(kind, n, rng):
+    """(3, n) cloud: a closed curve, a Gaussian blob, one point, or n copies
+    of one point (zero extent)."""
+    center = rng.uniform(-2.0, 2.0, size=(3, 1))
+    if kind == "curve":
+        t = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        amp = rng.uniform(0.1, 2.0, size=(3, 1))
+        freq = rng.integers(1, 4, size=(3, 1))
+        return center + amp * np.cos(freq * t + rng.uniform(0.0, 6.0, size=(3, 1)))
+    if kind == "blob":
+        return center + rng.normal(size=(3, n)) * 10.0 ** rng.uniform(-3.0, 0.5)
+    return np.repeat(center, 1 if kind == "point" else n, axis=1)
+
+
+def _draw_queries(tau, pts, n_q, rng):
+    """Queries near cloud points at distances from 1e-10 to the cloud's
+    size, some moved outside the cloud's key range in (z, w), and xi from
+    on the graph to far off it."""
+    base = pts[:, rng.integers(0, pts.shape[1], n_q)]
+    size = max(float(np.max(np.ptp(pts, axis=1))), 1e-3)
+    zw = base + rng.normal(size=base.shape) * size * 10.0 ** rng.uniform(-10.0, 0.0, n_q)
+    outside = rng.uniform(size=n_q) < 0.2
+    zw[:, outside] += (rng.choice([-1.0, 1.0], size=(3, int(outside.sum())))
+                       * size * rng.uniform(2.0, 50.0, int(outside.sum())))
+    off = np.where(rng.uniform(size=n_q) < 0.3, 0.0,
+                   size * 10.0 ** rng.uniform(-10.0, 2.0, n_q))
+    xi = tau(base) + rng.normal(size=(tau.d, n_q)) * off
+    return np.concatenate([zw, xi])
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["curve", "blob", "point", "flat"]),
+       n=st.integers(1, 600), seed=st.integers(0, 2**32 - 1))
+def test_graph_distance_is_exact(stacks, kind, n, seed):
+    tau = stacks("harmonic").tau
+    rng = np.random.default_rng(seed)
+    est = _cloud(_draw_points(kind, n, rng))
+    states = _draw_queries(tau, est.points, 40, rng)
+    np.testing.assert_allclose(graph_distance(tau, est, states),
+                               _exact_graph_distance(tau, est, states),
+                               rtol=1e-12, atol=0.0)
+
+
+def test_cell_search_settles_near_queries_and_hands_far_ones_on(stacks,
+                                                                monkeypatch):
+    # near-graph queries settle in the cell search on a coarsening ladder;
+    # only the query far off the graph reaches the brute-force kernel
+    tau = stacks("harmonic").tau
+    rng = np.random.default_rng(11)
+    est = _cloud(_draw_points("curve", 2000, rng))
+    base = est.points[:, [3, 500, 1500]]
+    zw = base + np.array([0.0, 1e-6, 1e-2])
+    xi = tau(base) + np.array([[0.0, 1e-5, 1e3]])
+    states = np.concatenate([zw, xi])
+    brute, folds = [], []
+    real_brute, real_fold = nimreg.analysis._nearest_brute, nimreg.analysis._fold
+    monkeypatch.setattr(nimreg.analysis, "_nearest_brute",
+                        lambda blocks: brute.append(blocks[0][0].shape[1])
+                        or real_brute(blocks))
+    monkeypatch.setattr(nimreg.analysis, "_fold",
+                        lambda grid: folds.append(grid.shape) or real_fold(grid))
+    dist = graph_distance(tau, est, states)
+    assert brute == [1]
+    assert len(folds) >= 3
+    np.testing.assert_array_equal(dist, _exact_graph_distance(tau, est, states))
 
 
 def test_graph_distance_bounds_euclidean_to_graph(stacks):
