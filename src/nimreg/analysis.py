@@ -211,14 +211,14 @@ def check_forward_invariance(est: AttractorEstimate, plant: PlantSpec,
     return worst
 
 
-_REF_CHUNK = 65536
+_REF_CHUNK = 8192
 _Q_CHUNK = 128
 
 
 def _pair_norms(q, q_sq, r, r_sq) -> np.ndarray:
     """|q[:, i] - r[:, j]| for every pair, from the quadratic expansion
     (q_sq - 2 q.r) + r_sq.  Built in place: at full chunk size every
-    temporary is about 50 MB."""
+    temporary is 8 MB."""
     d = q.T @ r
     d *= -2.0
     d += q_sq[:, None]
