@@ -1,9 +1,9 @@
 """Attractor clouds, the graph-distance surrogate, decay fits, experiments.
 
 The graph-distance oracles evaluate the surrogate at every cloud point.  The
-cell search must reproduce them exactly: it settles a query only when every
-point outside the cells it gathered is farther away than the best it found,
-and hands the queries it cannot settle to the brute-force kernel.
+window search must reproduce them bit for bit: it drops a point only when
+its distance along the sorted axis alone exceeds a value the query already
+has, and it sums in the oracle's order.
 """
 
 import numpy as np
@@ -216,15 +216,13 @@ def test_graph_distance_is_exact(stacks, kind, n, seed):
     rng = np.random.default_rng(seed)
     est = _cloud(_draw_points(kind, n, rng))
     states = _draw_queries(tau, est.points, 40, rng)
-    np.testing.assert_allclose(graph_distance(tau, est, states),
-                               _exact_graph_distance(tau, est, states),
-                               rtol=1e-12, atol=0.0)
+    np.testing.assert_array_equal(graph_distance(tau, est, states),
+                                  _exact_graph_distance(tau, est, states))
 
 
-def test_cell_search_settles_near_queries_and_hands_far_ones_on(stacks,
-                                                                monkeypatch):
-    # near-graph queries settle in the cell search on a coarsening ladder;
-    # only the query far off the graph reaches the brute-force kernel
+def test_window_search_gathers_few_pairs_near_the_graph(stacks, monkeypatch):
+    # a query near the graph evaluates a few dozen pairs at most beyond its
+    # 16-point seed; the one 1e3 off the graph in xi gathers the whole cloud
     tau = stacks("harmonic").tau
     rng = np.random.default_rng(11)
     est = _cloud(_draw_points("curve", 2000, rng))
@@ -232,17 +230,33 @@ def test_cell_search_settles_near_queries_and_hands_far_ones_on(stacks,
     zw = base + np.array([0.0, 1e-6, 1e-2])
     xi = tau(base) + np.array([[0.0, 1e-5, 1e3]])
     states = np.concatenate([zw, xi])
-    brute, folds = [], []
-    real_brute, real_fold = nimreg.analysis._nearest_brute, nimreg.analysis._fold
-    monkeypatch.setattr(nimreg.analysis, "_nearest_brute",
-                        lambda blocks: brute.append(blocks[0][0].shape[1])
-                        or real_brute(blocks))
-    monkeypatch.setattr(nimreg.analysis, "_fold",
-                        lambda grid: folds.append(grid.shape) or real_fold(grid))
+    gathered = []
+    real = nimreg.analysis._ranges_min
+    monkeypatch.setattr(nimreg.analysis, "_ranges_min",
+                        lambda q, r, first, count, cols:
+                        gathered.append(count.copy()) or real(q, r, first, count, cols))
     dist = graph_distance(tau, est, states)
-    assert brute == [1]
-    assert len(folds) >= 3
+    seed, window = gathered
+    np.testing.assert_array_equal(seed, 16)
+    assert np.all(window[:2] <= 36)
+    assert window[2] == 2000
     np.testing.assert_array_equal(dist, _exact_graph_distance(tau, est, states))
+
+
+def test_nearest_edge_cases():
+    rng = np.random.default_rng(5)
+    r, t = rng.normal(size=(3, 50)), rng.normal(size=(2, 50))
+    q, x = rng.normal(size=(3, 5)), rng.normal(size=(2, 5))
+    q[0, 0] = np.nan                  # NaN on any axis of the first block
+    x[1, 1] = np.nan                  # NaN in a later block
+    q[2, 2] = np.inf
+    x[0, 3] = -np.inf
+    dist = _nearest([(q, r), (x, t)])
+    assert np.isnan(dist[0]) and np.isnan(dist[1])
+    assert dist[2] == np.inf and dist[3] == np.inf
+    assert dist[4] == np.min(np.sqrt(np.sum((q[:, 4:] - r) ** 2, axis=0))
+                             + np.sqrt(np.sum((x[:, 4:] - t) ** 2, axis=0)))
+    assert _nearest([(q[:, :0], r), (x[:, :0], t)]).shape == (0,)
 
 
 def test_graph_distance_bounds_euclidean_to_graph(stacks):
