@@ -42,7 +42,7 @@ def compare(name: str, kappa: float, k_bar: float, horizon: float, seed: int):
     cc = ControllerConfig(im=syn.im, gd=gd, k=k)
     nl = regulation_experiment(bench.plant, bench.exo, cc, syn.tau, syn.sets,
                                w0_sampler=bench.w0_sampler, est=syn.est,
-                               horizon=horizon, scenario=f"{name}-nonlinear")
+                               horizon=horizon)
     lin = linear_baseline_experiment(bench.plant, bench.exo, syn.tau, syn.est,
                                      syn.sets, gd, k, w0_sampler=bench.w0_sampler,
                                      horizon=horizon)

@@ -43,7 +43,7 @@ def main() -> int:
     rng = np.random.default_rng(args.seed + 3)
     z0, w0, xi0, _ = syn.sets.sample(bench.exo, rng, args.n_runs,
                                      w0_sampler=bench.w0_sampler,
-                                     xi_box=tau.image_box)
+                                     xi_box=syn.driver.s_box)
     rates = []
     for m in mults:
         gd = design_gains(bench.d, m * kappa_star, lipschitz=syn.driver.L)

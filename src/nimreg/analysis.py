@@ -21,16 +21,18 @@ the claim, not of the inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .dynsys import (ExosystemSpec, PlantSpec, ScenarioSets, as_array_rhs,
                      inflate_box, zero_dynamics_field)
-from .errors import BoundednessError, ConfigError, FitError, IntegrationError, PreconditionError
+from .errors import (BoundednessError, ConfigError, FitError, IntegrationError,
+                     PreconditionError, SearchError)
 from .integrators import Trajectory, _hermite, rk4_fixed
-from .internal_model import InternalModel, TauChain
+from .gain import design_gains
+from .internal_model import InternalModel, TauChain, saturate
 from .sim import ControllerConfig, run_closed_loop, run_observer_cascade
 
 __all__ = [
@@ -38,7 +40,6 @@ __all__ = [
     "estimate_attractor",
     "check_forward_invariance",
     "tau_image_box",
-    "validate_xi_box",
     "graph_distance",
     "DecayFit",
     "fit_decay",
@@ -190,22 +191,27 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
                              resolution=resolution, v_max=v_max)
 
 
+_INVARIANCE_T = 1.0
+_INVARIANCE_TOL = 1e-3
+_INVARIANCE_POINTS = 200
+
+
 def check_forward_invariance(est: AttractorEstimate, plant: PlantSpec,
-                             exo: ExosystemSpec, *, t_check: float = 1.0,
-                             tol: float = 1e-3, max_points: int = 200,
-                             h: float = 1e-3) -> float:
-    """Flow a spread of cloud points for t_check and return the largest
-    nearest-neighbor distance back to the cloud."""
+                             exo: ExosystemSpec) -> float:
+    """Flow a spread of _INVARIANCE_POINTS cloud points for _INVARIANCE_T and
+    return the largest nearest-neighbor distance back to the cloud; raise
+    BoundednessError when it reaches _INVARIANCE_TOL."""
     pts = est.points
-    idx = np.linspace(0, pts.shape[1] - 1, min(max_points, pts.shape[1])).astype(int)
+    idx = np.linspace(0, pts.shape[1] - 1,
+                      min(_INVARIANCE_POINTS, pts.shape[1])).astype(int)
     rhs = as_array_rhs(zero_dynamics_field(plant, exo))
-    endpoints = rk4_fixed(rhs, pts[:, idx], (0.0, t_check), h=h).final
+    endpoints = rk4_fixed(rhs, pts[:, idx], (0.0, _INVARIANCE_T)).final
     worst = float(np.max(_nearest([(endpoints, pts)])))
-    if worst >= tol:
+    if worst >= _INVARIANCE_TOL:
         raise BoundednessError(
-            f"cloud is not forward-invariant at tolerance {tol:g} "
+            f"cloud is not forward-invariant at tolerance {_INVARIANCE_TOL:g} "
             f"(worst return distance {worst:.3e})",
-            evidence={"worst": worst, "tol": tol})
+            evidence={"worst": worst, "tol": _INVARIANCE_TOL})
     return worst
 
 
@@ -283,36 +289,28 @@ def _ranges_min(queries, refs, first, count, cols):
 # tau image and graph distance ------------------------------------------------
 
 
-def tau_image_box(tau: TauChain, est: AttractorEstimate,
-                  inflation: float = 0.25, floor: float = 1e-3) -> np.ndarray:
-    """Bounding box of tau over the cloud, inflated; also stored on tau.
+_IMAGE_INFLATION = 0.25
+_IMAGE_FLOOR = 1e-3
 
-    The uninflated extent is kept as tau.image_extent for margin checks."""
+
+def _tau_image(tau: TauChain, est: AttractorEstimate):
+    """(box, extent): extent bounds tau over the cloud; box, the driver's
+    saturation box, grows each half-width of extent by _IMAGE_INFLATION, to
+    at least _IMAGE_FLOOR."""
     vals = tau(est.points)
     extent = np.column_stack([vals.min(axis=1), vals.max(axis=1)])
-    box = inflate_box(extent, inflation, floor)
+    return inflate_box(extent, _IMAGE_INFLATION, _IMAGE_FLOOR), extent
+
+
+def tau_image_box(tau: TauChain, est: AttractorEstimate) -> np.ndarray:
+    """The saturation box of _tau_image, stored on tau as image_box with the
+    extent as image_extent.  Nothing in the package reads the two stores
+    (the box lives on the driver as s_box); perfbench/workloads.py calls
+    this function and then reads tau.image_extent."""
+    box, extent = _tau_image(tau, est)
     tau.image_extent = extent
     tau.image_box = box
     return box
-
-
-def _xi_sample_box(sets: ScenarioSets, tau: TauChain) -> np.ndarray:
-    """The box xi starts are drawn from: sets.xi_box, else the tau image box."""
-    box = sets.xi_box if sets.xi_box is not None else tau.image_box
-    if box is None:
-        raise PreconditionError("no xi sample box: pass sets.xi_box or compute "
-                                "the tau image box from a cloud first")
-    return box
-
-
-def validate_xi_box(xi_box: np.ndarray, tau: TauChain) -> np.ndarray:
-    """Require the tau image extent strictly inside xi_box."""
-    extent = tau.image_extent
-    if extent is None:
-        raise PreconditionError("tau image box not computed yet")
-    if not (np.all(xi_box[:, 0] < extent[:, 0]) and np.all(xi_box[:, 1] > extent[:, 1])):
-        raise ConfigError("xi_box must contain the tau image in its interior")
-    return xi_box
 
 
 def graph_distance(tau: TauChain, est: AttractorEstimate, states):
@@ -459,15 +457,11 @@ def _chi_norms(tau: TauChain, traj: Trajectory) -> np.ndarray:
 
 
 def tracking_error_decay(plant, exo, im, tau, G, *, z0, w0, xi0,
-                         horizon: float = 2.0, h: float = 1e-3,
-                         dt_out: float | None = None,
-                         guard: float = 1e9) -> DecayFit:
+                         horizon: float = 2.0, h: float = 1e-3) -> DecayFit:
     """Median |chi| decay for the observer cascade from the given states."""
-    if dt_out is None:
-        dt_out = max(h, horizon / 400.0)
     x0 = np.concatenate([z0, w0, xi0], axis=0)
     traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
-                                h=h, dt_out=dt_out, guard=guard)
+                                h=h, dt_out=max(h, horizon / 400.0))
     med = np.median(_chi_norms(tau, traj), axis=1)
     return fit_decay(traj.t, med, floor=_noise_floor())
 
@@ -477,7 +471,6 @@ def tracking_error_decay(plant, exo, im, tau, G, *, z0, w0, xi0,
 
 @dataclass
 class GraphReport:
-    scenario: str
     max_distance: float
     terminal_distance: float
     tol: float
@@ -493,7 +486,7 @@ class GraphReport:
 
 def graph_invariance_experiment(plant, exo, im, tau, est, G, *,
                                 n_runs: int = 20, horizon: float = 50.0,
-                                tol: float = 1e-5, scenario: str = "") -> GraphReport:
+                                tol: float = 1e-5) -> GraphReport:
     """Start on the graph (xi0 = tau at cloud points) and track the distance.
 
     Needs a matched cloud with sample_time >= horizon so the queried states
@@ -503,8 +496,7 @@ def graph_invariance_experiment(plant, exo, im, tau, est, G, *,
     traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
                                 h=est.h, dt_out=est.dt_sample)
     dist = _distance_curve(tau, est, traj)
-    return GraphReport(scenario=scenario,
-                       max_distance=float(np.max(dist)),
+    return GraphReport(max_distance=float(np.max(dist)),
                        terminal_distance=float(np.max(dist[-1])),
                        tol=tol, fit=None, t_checked=traj.t, distances=dist)
 
@@ -515,85 +507,87 @@ _HEAD_WINDOW = 0.5
 _HEAD_DT = 0.01
 
 
-def _check_times(horizon: float, head_dt: float) -> np.ndarray:
+def _check_rows(t: np.ndarray, head_dt: float):
+    """(rows, times): the check times up to t[-1] that the output grid t holds
+    to rounding, and their rows; a time between grid points is dropped."""
+    horizon = t[-1]
     head = np.arange(0.0, min(_HEAD_WINDOW, horizon) + 1e-12, head_dt)
     coarse = np.arange(np.ceil(_HEAD_WINDOW), horizon + 1e-12, 1.0)
-    return np.unique(np.concatenate([head, coarse, [horizon]]))
+    times = np.unique(np.concatenate([head, coarse, [horizon]]))
+    rows = np.searchsorted(t, times - 1e-12)
+    held = np.abs(t[rows] - times) <= 1e-9
+    return rows[held], times[held]
 
 
 def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
                                  w0_sampler=None, n_runs: int = 50,
                                  horizon: float = 40.0, tol: float = 1e-4,
-                                 h: float = 1e-3,
-                                 curve_est: AttractorEstimate | None = None,
-                                 scenario: str = "") -> GraphReport:
-    """Random starts in Z x W x Xi; the distance to the graph must fall below
-    tol by the end of the horizon in every run.
+                                 curve_est: AttractorEstimate | None = None) -> GraphReport:
+    """Random starts in Z x W x Xi, with Xi the driver's saturation box
+    im.driver.s_box; the distance to the graph must fall below tol by the
+    end of the horizon in every run.
 
     The terminal threshold is checked against est, which must resolve the
     attractor below tol.  The decay curve does not need that resolution, so
     when curve_est is given the intermediate distances (and the fit) are
     computed against it instead; expect the curve to floor out near its
     coverage radius."""
-    xi_box = validate_xi_box(_xi_sample_box(sets, tau), tau)
     rng = np.random.default_rng(sets.seed + 1)
     z0, w0, xi0, _ = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
-                                 xi_box=xi_box)
+                                 xi_box=im.driver.s_box)
     x0 = np.concatenate([z0, w0, xi0], axis=0)
     try:
         traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
-                                    h=h, dt_out=_HEAD_DT)
+                                    dt_out=_HEAD_DT)
     except IntegrationError as exc:
-        return GraphReport(scenario=scenario, max_distance=np.inf,
+        return GraphReport(max_distance=np.inf,
                            terminal_distance=np.inf, tol=tol, fit=None,
                            t_checked=np.array([]), distances=np.array([[]]),
                            error=f"integration failed at t={exc.t_fail:g}")
-    times = _check_times(horizon, _HEAD_DT)
-    rows = np.searchsorted(traj.t, times - 1e-12)
+    rows, times = _check_rows(traj.t, _HEAD_DT)
     ref = est if curve_est is None else curve_est
     dist = _distance_curve(tau, ref, traj, rows)
     terminal = _distance_curve(tau, est, traj, rows[-1:])
-    return GraphReport(scenario=scenario, max_distance=float(np.max(dist)),
+    return GraphReport(max_distance=float(np.max(dist)),
                        terminal_distance=float(np.max(terminal)), tol=tol,
                        fit=_median_fit(times, dist, floor=max(tol, _coverage_floor(ref))),
                        t_checked=times, distances=dist)
 
 
+_ALPHA_REQ = 0.5
+_SPREAD_FACTOR = 2.0
+_PERTURB_T_MIN = 1.0
+
+
 @dataclass
 class PerturbationReport:
-    scenario: str
     sizes: tuple
     rates: list
     fits: list
-    alpha_req: float
-    spread_factor: float
 
     @property
     def passed(self) -> bool:
         if any(r is None for r in self.rates):
             return False
-        rates = [r for r in self.rates]
-        return (min(rates) >= self.alpha_req
-                and max(rates) <= self.spread_factor * min(rates))
+        return (min(self.rates) >= _ALPHA_REQ
+                and max(self.rates) <= _SPREAD_FACTOR * min(self.rates))
 
 
 def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
                                   sizes=(1e-1, 1e-2, 1e-3, 1e-4),
                                   n_runs: int = 20, horizon: float = 15.0,
-                                  alpha_req: float = 0.5, spread_factor: float = 2.0,
-                                  t_min: float = 1.0, seed: int = 0,
-                                  scenario: str = "") -> PerturbationReport:
+                                  seed: int = 0) -> PerturbationReport:
     """Local attractiveness probe: kick z and xi off the graph by geometric
     sizes and compare fitted decay rates of the graph distance.
 
     w stays on the admissible set; the perturbation lives in the transverse
-    (z, xi) directions only.  Every size's n_runs kicked starts ride in one
-    batch of len(sizes) * n_runs columns; each size's rate is fitted on its
-    own column slice."""
+    (z, xi) directions only.  A kick must stay inside the driver's
+    saturation box im.driver.s_box.  Every size's n_runs kicked starts ride
+    in one batch of len(sizes) * n_runs columns; each size's rate is fitted
+    on its own column slice."""
     zw0 = _matched_starts(est, horizon, n_runs)
-    if tau.image_box is None:
-        raise PreconditionError("tau image box not computed")
-    half_width = 0.5 * (tau.image_box[:, 1] - tau.image_box[:, 0])
+    s_box = im.driver.s_box
+    half_width = 0.5 * (s_box[:, 1] - s_box[:, 0])
     for size in sizes:
         if size / 2.0 >= float(np.min(half_width)):
             raise PreconditionError(
@@ -614,12 +608,10 @@ def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
     dist = _distance_curve(tau, est, traj)
     # skip the fast observer mode; the floor scales with the kick
     fits = [_median_fit(traj.t, dist[:, i * n_runs:(i + 1) * n_runs],
-                        t_min=t_min, floor=size * 1e-3)
+                        t_min=_PERTURB_T_MIN, floor=size * 1e-3)
             for i, size in enumerate(sizes)]
     rates = [None if fit is None else fit.alpha for fit in fits]
-    return PerturbationReport(scenario=scenario, sizes=tuple(sizes), rates=rates,
-                              fits=fits, alpha_req=alpha_req,
-                              spread_factor=spread_factor)
+    return PerturbationReport(sizes=tuple(sizes), rates=rates, fits=fits)
 
 
 # regulation --------------------------------------------------------------------
@@ -629,7 +621,6 @@ def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
 class RunReport:
     """Aggregated regulation metrics over a sampled scenario set."""
 
-    scenario: str
     gains: dict
     eps: float
     eps_asym: float
@@ -672,22 +663,22 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
                           w0_sampler=None, est=None, eps: float = 1e-2,
                           eps_asym: float = 1e-4, horizon: float = 100.0,
                           h: float = 1e-3, dt_out: float = 0.01,
-                          n_runs: int | None = None, scenario: str = "",
+                          n_runs: int | None = None,
                           fit_curves: bool = True, guard: float = 1e9,
                           method: str = "rk4", rtol: float = 1e-9,
                           atol: float = 1e-12) -> RunReport:
-    """Close the loop from sampled Z x W x Xi x E states and measure practical
-    (enter and stay in the eps tube) and asymptotic (tail below eps_asym)
+    """Close the loop from sampled Z x W x Xi x E states, with Xi the
+    driver's saturation box cc.im.driver.s_box, and measure practical (enter
+    and stay in the eps tube) and asymptotic (tail below eps_asym)
     regulation."""
     if cc.k_bar <= 0:
         raise PreconditionError(
             f"regulation needs k_bar > 0, got {cc.k_bar:g} (k too small for this gain)")
     if n_runs is None:
         n_runs = sets.n_samples
-    xi_box = _xi_sample_box(sets, tau)
     rng = np.random.default_rng(sets.seed + 2)
     z0, w0, xi0, e0 = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
-                                  xi_box=xi_box)
+                                  xi_box=cc.im.driver.s_box)
     x0 = np.concatenate([z0, e0[None, :], w0, xi0], axis=0)
     gains = {"kappa": float(cc.gd.kappa), "k": float(cc.k), "k_bar": float(cc.k_bar),
              "C": float(cc.im.driver.C), "L": float(cc.im.driver.L),
@@ -697,9 +688,8 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
         traj = run_closed_loop(plant, exo, cc, x0, (0.0, horizon), form="xi",
                                method=method, dt_out=dt_out, guard=guard, **step)
     except IntegrationError as exc:
-        return RunReport(scenario=scenario, gains=gains, eps=eps, eps_asym=eps_asym,
-                         t_bar=None, tail_sup_e=np.inf, fit_e=None, fit_chi=None,
-                         fit_dist=None,
+        return RunReport(gains=gains, eps=eps, eps_asym=eps_asym, t_bar=None,
+                         tail_sup_e=np.inf, fit_e=None, fit_chi=None, fit_dist=None,
                          verdicts={"practical": False, "asymptotic": False},
                          integrator={"method": method, **step,
                                      "error": str(exc), "t_fail": exc.t_fail},
@@ -716,13 +706,12 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
         fit_e = _median_fit(traj.t, abs_e, floor=floor)
         fit_chi = _median_fit(traj.t, _chi_norms(tau, traj), floor=floor)
         if est is not None:
-            times = _check_times(horizon, 0.05)
-            dvals = _distance_curve(tau, est, traj,
-                                    np.searchsorted(traj.t, times - 1e-12))
+            rows, times = _check_rows(traj.t, 0.05)
+            dvals = _distance_curve(tau, est, traj, rows)
             fit_dist = _median_fit(times, dvals, floor=_coverage_floor(est))
     verdicts = {"practical": t_bar is not None, "asymptotic": tail_sup < eps_asym}
-    return RunReport(scenario=scenario, gains=gains, eps=eps, eps_asym=eps_asym,
-                     t_bar=t_bar, tail_sup_e=tail_sup, fit_e=fit_e, fit_chi=fit_chi,
+    return RunReport(gains=gains, eps=eps, eps_asym=eps_asym, t_bar=t_bar,
+                     tail_sup_e=tail_sup, fit_e=fit_e, fit_chi=fit_chi,
                      fit_dist=fit_dist, verdicts=verdicts,
                      integrator={"method": method, **step, "dt_out": dt_out,
                                  "n_steps": traj.meta.get("n_steps", 0),
@@ -747,8 +736,7 @@ def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
                                k: float | None = None, *, w0_sampler=None,
                                eps: float = 1e-2, eps_asym: float = 1e-4,
                                horizon: float = 100.0, h: float = 1e-3,
-                               n_runs: int | None = None,
-                               scenario: str = "linear-baseline") -> RunReport:
+                               n_runs: int | None = None) -> RunReport:
     """Swap the driver for its best linear fit and rerun regulation.
 
     Defaults to mild comparator gains (kappa 2, k_bar 5).  Feedback
@@ -758,9 +746,6 @@ def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
     loop is too gentle to mask it.  Pass gd and k to compare at other gains,
     matched against a nonlinear run at the same values.
     """
-    from .gain import design_gains
-    from .internal_model import saturate
-
     coef = fit_linear_driver(tau, est)
     if gd is None:
         gd = design_gains(tau.d, 2.0, lipschitz=float(np.linalg.norm(coef)))
@@ -773,13 +758,13 @@ def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
             acc = acc + coef[i] * eta[i]
         return acc
 
-    driver = saturate(f_lin, tau.image_box, tau.image_extent)
+    driver = saturate(f_lin, *_tau_image(tau, est))
     im_lin = InternalModel(d=tau.d, driver=driver)
     cc = ControllerConfig(im=im_lin, gd=gd, k=k)
     report = regulation_experiment(plant, exo, cc, tau, sets,
                                    w0_sampler=w0_sampler, est=est, eps=eps,
                                    eps_asym=eps_asym, horizon=horizon, h=h,
-                                   n_runs=n_runs, scenario=scenario)
+                                   n_runs=n_runs)
     report.gains["driver_coefficients"] = np.array2string(coef, separator=",")
     return report
 
@@ -787,38 +772,37 @@ def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
 # gain auto-selection ---------------------------------------------------------------
 
 
+_T_TARGET = 30.0
+_PROBE_HORIZON = 50.0
+_N_PROBE = 8
+_K_BAR_MAX = 256.0
+
+
 def auto_feedback_gain(plant, exo, im, tau, gd, sets, *, w0_sampler=None,
-                       eps: float = 1e-2, t_target: float = 30.0,
-                       horizon: float = 50.0, n_probe: int = 8,
-                       k_bar_max: float = 256.0) -> float:
-    """Double k_bar until a probe scenario settles well inside the target
-    time; returns the full gain k = Gamma G + k_bar.
+                       eps: float = 1e-2) -> float:
+    """Double k_bar, up to _K_BAR_MAX, until a probe scenario settles well
+    inside the target time _T_TARGET; returns the full gain k = Gamma G + k_bar.
 
-    Each probe integrates its n_probe scenarios as one batch on dopri5 at
-    the default tolerances.  The verdict is coarse (enter the eps tube by
-    0.75 t_target and stay there), so the fixed RK4 grid would buy nothing
-    but about ten times more steps."""
-    from .errors import SearchError
-
+    Each probe integrates _N_PROBE scenarios over _PROBE_HORIZON as one batch
+    on dopri5 at the default tolerances.  The verdict is coarse (enter the eps
+    tube by 0.75 _T_TARGET and stay there), so the fixed RK4 grid would buy
+    nothing but about ten times more steps."""
     gamma_g = float(np.asarray(gd.G).ravel()[0])
-    probe_sets = ScenarioSets(z_box=sets.z_box, e_interval=sets.e_interval,
-                              xi_box=sets.xi_box, n_samples=n_probe,
-                              seed=sets.seed + 13)
+    probe_sets = replace(sets, n_samples=_N_PROBE, seed=sets.seed + 13)
     history = []
     k_bar = 1.0
-    while k_bar <= k_bar_max:
+    while k_bar <= _K_BAR_MAX:
         k = gamma_g + k_bar
         cc = ControllerConfig(im=im, gd=gd, k=k)
         rep = regulation_experiment(plant, exo, cc, tau, probe_sets,
                                     w0_sampler=w0_sampler, eps=eps,
-                                    horizon=horizon, n_runs=n_probe,
-                                    fit_curves=False, scenario="gain-probe",
-                                    method="dopri5")
-        ok = (rep.t_bar is not None and rep.t_bar <= 0.75 * t_target
+                                    horizon=_PROBE_HORIZON, n_runs=_N_PROBE,
+                                    fit_curves=False, method="dopri5")
+        ok = (rep.t_bar is not None and rep.t_bar <= 0.75 * _T_TARGET
               and rep.tail_sup_e < eps)
         history.append((k_bar, rep.t_bar, rep.tail_sup_e))
         if ok:
             return k
         k_bar *= 2.0
-    raise SearchError(f"no feedback gain with k_bar <= {k_bar_max:g} met the "
-                      f"settling target {t_target:g}", history=history)
+    raise SearchError(f"no feedback gain with k_bar <= {_K_BAR_MAX:g} met the "
+                      f"settling target {_T_TARGET:g}", history=history)

@@ -38,10 +38,9 @@ class Benchmark:
     mu: float | None = None
     notes: str = ""
 
-    def scenario_sets(self, n_samples: int = 50, seed: int = 0,
-                      xi_box=None) -> ScenarioSets:
+    def scenario_sets(self, n_samples: int = 50, seed: int = 0) -> ScenarioSets:
         return ScenarioSets(z_box=self.z_box, e_interval=self.e_interval,
-                            xi_box=xi_box, n_samples=n_samples, seed=seed)
+                            n_samples=n_samples, seed=seed)
 
 
 # Van der Pol reference cycle ---------------------------------------------------

@@ -201,9 +201,8 @@ def write_report(path: Path, items: dict) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def write_trajectory_csv(path: Path, pipe: Pipeline, report,
-                         run_index: int = 0) -> None:
-    """One run of the closed loop in the canonical column layout.
+def write_trajectory_csv(path: Path, pipe: Pipeline, report) -> None:
+    """The first run of the closed loop in the canonical column layout.
 
     A run that failed before producing a laid-out trajectory writes no CSV,
     and a CSV left at path by an earlier run is removed, so it cannot pass
@@ -213,9 +212,7 @@ def write_trajectory_csv(path: Path, pipe: Pipeline, report,
         path.unlink(missing_ok=True)
         return
     layout = traj.meta["layout"]
-    states = traj.states
-    if states.ndim == 3:
-        states = states[:, :, run_index]
+    states = traj.states[:, :, 0]
     e = states[:, layout.e]
     v = -report.gains["k"] * e
     u = states[:, layout.xi.start] + v
@@ -268,8 +265,11 @@ def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
         "t_bar": report.t_bar,
         "alpha_e": report.fit_e.alpha if report.fit_e else None,
         "M_e": report.fit_e.M if report.fit_e else None,
+        "alpha_e_residual": report.fit_e.residual if report.fit_e else None,
         "alpha_chi": report.fit_chi.alpha if report.fit_chi else None,
+        "alpha_chi_residual": report.fit_chi.residual if report.fit_chi else None,
         "alpha_dist": report.fit_dist.alpha if report.fit_dist else None,
+        "alpha_dist_residual": report.fit_dist.residual if report.fit_dist else None,
         "verdict_practical": report.verdicts.get("practical"),
         "verdict_asymptotic": report.verdicts.get("asymptotic"),
         "passed": report.passed,

@@ -108,13 +108,13 @@ class PlantSpec:
 class ScenarioSets:
     """Compact initial-condition regions for verification experiments.
 
-    xi_box may be None at construction; experiments that need it derive it
-    from the computed feedforward image box and validate the inclusion.
+    The xi region is not one of them: experiments draw xi starts from the
+    saturation box of the internal model's driver, which contains the tau
+    image by construction (internal_model.saturate).
     """
 
     z_box: np.ndarray
     e_interval: np.ndarray
-    xi_box: np.ndarray | None = None
     n_samples: int = 50
     seed: int = 0
 
@@ -123,8 +123,6 @@ class ScenarioSets:
         e = as_box(np.reshape(np.asarray(self.e_interval, dtype=float), (1, 2)),
                    1, "e_interval")
         object.__setattr__(self, "e_interval", e)
-        if self.xi_box is not None:
-            object.__setattr__(self, "xi_box", as_box(self.xi_box, None, "xi_box"))
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
 

@@ -164,10 +164,14 @@ def design_gains(d: int, kappa: float, lipschitz: float = 0.0,
         poles = [-1.0] * d
     G0 = place_poles(d, poles)
     P = solve_lyapunov(_companion(G0))
-    G = build_gain(G0, kappa)
-    return GainDesign(d=d, poles=tuple(complex(p) for p in np.atleast_1d(poles)),
-                      G0=G0, kappa=float(kappa), G=G, P=P,
-                      kappa_lb=kappa_lower_bound(lipschitz, P))
+    return _design(poles, G0, P, kappa, kappa_lower_bound(lipschitz, P))
+
+
+def _design(poles, G0, P, kappa: float, kappa_lb: float) -> GainDesign:
+    """The GainDesign at kappa from a placed G0 and its certificate P."""
+    return GainDesign(d=G0.size, poles=tuple(complex(p) for p in np.atleast_1d(poles)),
+                      G0=G0, kappa=float(kappa), G=build_gain(G0, kappa), P=P,
+                      kappa_lb=kappa_lb)
 
 
 @dataclass
@@ -179,19 +183,23 @@ class KappaSearch:
     design: GainDesign
 
 
-def find_kappa_star(plant, exo, im, tau, sets, *, w0_sampler=None, poles=None,
-                    alpha_min: float = 0.3, kappa_max: float = 1024.0,
-                    horizon: float = 2.0, n_runs: int = 20,
-                    h: float = 1e-3) -> KappaSearch:
-    """Double kappa from the analytic bound until the median tracking error
-    |xi - tau(z, w)| decays at least at rate alpha_min.
+_ALPHA_MIN = 0.3
+_KAPPA_MAX = 1024.0
+_PROBE_RUNS = 20
+
+
+def find_kappa_star(plant, exo, im, tau, sets, *, w0_sampler=None,
+                    poles=None) -> KappaSearch:
+    """Double kappa from the analytic bound, up to _KAPPA_MAX, until the
+    median tracking error |xi - tau(z, w)| over _PROBE_RUNS scenarios decays
+    at least at rate _ALPHA_MIN.
 
     The certified bound is where the search starts; the returned kappa is the
-    first empirically passing value, which may equal the bound.
+    first empirically passing value, which may equal the bound.  The probe
+    draws xi starts from the driver's saturation box im.driver.s_box.
     """
-    from .analysis import _xi_sample_box, tracking_error_decay
+    from .analysis import tracking_error_decay
 
-    xi_box = _xi_sample_box(sets, tau)
     d = im.d
     if poles is None:
         poles = [-1.0] * d
@@ -199,29 +207,27 @@ def find_kappa_star(plant, exo, im, tau, sets, *, w0_sampler=None, poles=None,
     P = solve_lyapunov(_companion(G0))
     bound = kappa_lower_bound(im.driver.L, P)
     rng = np.random.default_rng(sets.seed + 3)
-    z0, w0, xi0, _ = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
-                                 xi_box=xi_box)
+    z0, w0, xi0, _ = sets.sample(exo, rng, _PROBE_RUNS, w0_sampler=w0_sampler,
+                                 xi_box=im.driver.s_box)
 
     kappa = max(1.0 + 1e-6, bound)
     history = []
-    while kappa <= kappa_max:
-        G = build_gain(G0, kappa)
+    while kappa <= _KAPPA_MAX:
         alpha = None
         try:
-            fit = tracking_error_decay(plant, exo, im, tau, G,
-                                       z0=z0, w0=w0, xi0=xi0,
-                                       horizon=horizon, h=h)
+            fit = tracking_error_decay(plant, exo, im, tau, build_gain(G0, kappa),
+                                       z0=z0, w0=w0, xi0=xi0)
             alpha = fit.alpha
         except (FitError, IntegrationError):
             pass
         history.append((kappa, alpha))
-        if alpha is not None and alpha >= alpha_min:
-            design = design_gains(d, kappa, lipschitz=im.driver.L, poles=poles)
+        if alpha is not None and alpha >= _ALPHA_MIN:
             return KappaSearch(kappa=kappa, rate=alpha, kappa_lb=bound,
-                               history=history, design=design)
+                               history=history,
+                               design=_design(poles, G0, P, kappa, bound))
         kappa *= 2.0
     rates = [a for _, a in history if a is not None]
     raise SearchError(
-        f"no kappa <= {kappa_max:g} reached decay rate {alpha_min:g} "
+        f"no kappa <= {_KAPPA_MAX:g} reached decay rate {_ALPHA_MIN:g} "
         f"(analytic bound was {bound:g})",
         best_rate=max(rates) if rates else None, history=history)

@@ -243,10 +243,13 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
             if failed.any():
                 raise _fail(f"state magnitude exceeded {guard:g} at t={t_new:g}",
                             failed)
-            while next_out <= n_out and t_grid[next_out] <= t_new + 1e-14 * max(1.0, abs(t_new)):
-                theta = (t_grid[next_out] - t) / h
-                out[next_out] = _hermite(x, x_new, k[0], k[6], h, min(max(theta, 0.0), 1.0))
-                next_out += 1
+            reach = t_new + 1e-14 * max(1.0, abs(t_new))
+            if next_out <= n_out and t_grid[next_out] <= reach:
+                stop = int(np.searchsorted(t_grid, reach, "right"))
+                theta = np.minimum(np.maximum((t_grid[next_out:stop] - t) / h, 0.0), 1.0)
+                out[next_out:stop] = _hermite(x, x_new, k[0], k[6], h,
+                                              theta.reshape((-1,) + (1,) * x.ndim))
+                next_out = stop
             k[0] = k[6].copy()
             x = x_new
             t = t_new

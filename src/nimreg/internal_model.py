@@ -38,7 +38,7 @@ class TauChain:
     tau_1 = -q(z, 0, w) and each later entry is the Lie derivative of the
     previous one along the zero dynamics.  image_extent (the bounding box of
     tau over an attractor estimate) and image_box (that extent, inflated)
-    stay None until analysis.tau_image_box fixes them.
+    stay None; only analysis.tau_image_box writes them, and nothing reads them.
     """
 
     d: int
@@ -81,11 +81,16 @@ def _grid(box: np.ndarray, per_axis: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh])
 
 
-def _scan_max(value_fn: Callable, box: np.ndarray, per_axis: int, rounds: int) -> float:
-    """Maximize value_fn over the box by grid scan plus local refinement."""
+_REFINE_ROUNDS = 2
+
+
+def _scan_max(value_fn: Callable, box: np.ndarray) -> float:
+    """Maximize value_fn over the box: a grid scan, then _REFINE_ROUNDS refinements."""
+    d = box.shape[0]
+    per_axis = 64 if d <= 3 else max(4, int(round(64 ** (3.0 / d))))
     best = -np.inf
     cur = box.copy()
-    for _ in range(rounds + 1):
+    for _ in range(_REFINE_ROUNDS + 1):
         pts = _grid(cur, per_axis)
         vals = np.broadcast_to(np.asarray(value_fn(pts), dtype=float), (pts.shape[1],))
         i = int(np.argmax(vals))
@@ -135,26 +140,24 @@ class SaturatedDriver:
         return self.f(self.clamp(eta))
 
 
-def saturate(f: Callable, s_box, image_box=None, per_axis: int | None = None,
-             refine_rounds: int = 2) -> SaturatedDriver:
+def saturate(f: Callable, s_box, extent=None) -> SaturatedDriver:
     """Build the clamped driver and certify its constants.
 
-    When image_box is given, s_box must contain it with strictly positive
-    margin on every side, so the clamp never bites on attractor data.
+    When extent (the bounding box of tau over the attractor estimate) is
+    given, s_box must contain it with strictly positive margin on every
+    side, so the clamp never bites on attractor data.  Experiments draw xi
+    starts from s_box for the same reason.
     """
     s_box = as_box(s_box, None, "s_box")
     d = s_box.shape[0]
-    if image_box is not None:
-        image_box = as_box(image_box, d, "image_box")
-        lo_ok = np.all(s_box[:, 0] < image_box[:, 0])
-        hi_ok = np.all(s_box[:, 1] > image_box[:, 1])
+    if extent is not None:
+        extent = as_box(extent, d, "extent")
+        lo_ok = np.all(s_box[:, 0] < extent[:, 0])
+        hi_ok = np.all(s_box[:, 1] > extent[:, 1])
         if not (lo_ok and hi_ok):
-            raise ConfigError("saturation box must strictly contain the tau image box")
-    if per_axis is None:
-        per_axis = 64 if d <= 3 else max(4, int(round(64 ** (3.0 / d))))
-    c_val = _scan_max(lambda pts: np.abs(np.asarray(f(list(pts)), dtype=float)),
-                      s_box, per_axis, refine_rounds)
-    l_val = _scan_max(lambda pts: _gradient_norms(f, pts), s_box, per_axis, refine_rounds)
+            raise ConfigError("saturation box must strictly contain the tau image")
+    c_val = _scan_max(lambda pts: np.abs(np.asarray(f(list(pts)), dtype=float)), s_box)
+    l_val = _scan_max(lambda pts: _gradient_norms(f, pts), s_box)
     return SaturatedDriver(f=f, s_box=s_box, C=float(c_val), L=float(l_val))
 
 
@@ -179,6 +182,12 @@ class InternalModel:
 # verification ----------------------------------------------------------------
 
 
+_VERIFY_HORIZON = 1.0
+_VERIFY_DT = 1e-4
+_VERIFY_TOL = 1e-5
+_VERIFY_TRAJECTORIES = 10
+
+
 @dataclass
 class ImVerification:
     """Residuals of the two defining identities, measured numerically.
@@ -190,30 +199,29 @@ class ImVerification:
 
     residual_flow: float
     residual_output: float
-    tol: float
 
     @property
     def passed(self) -> bool:
-        return self.residual_flow < self.tol and self.residual_output < self.tol
+        return self.residual_flow < _VERIFY_TOL and self.residual_output < _VERIFY_TOL
 
 
-def verify_internal_model(im: InternalModel, tau: TauChain, cloud,
-                          horizon: float = 1.0, dt: float = 1e-4,
-                          tol: float = 1e-5, max_trajectories: int = 10) -> ImVerification:
+def verify_internal_model(im: InternalModel, tau: TauChain, cloud) -> ImVerification:
     """Check the internal-model identities on attractor samples.
 
     cloud is an (n+r, N) array of attractor points (or an object exposing one
-    as .points).  Trajectories start from a spread of cloud points.
+    as .points).  _VERIFY_TRAJECTORIES trajectories start from a spread of
+    cloud points and run over _VERIFY_HORIZON at step _VERIFY_DT; both
+    residuals must stay below _VERIFY_TOL.
     """
     points = np.asarray(getattr(cloud, "points", cloud), dtype=float)
     if points.ndim != 2 or points.size == 0:
         raise PreconditionError("attractor estimate is empty")
-    n_traj = min(max_trajectories, points.shape[1])
+    n_traj = min(_VERIFY_TRAJECTORIES, points.shape[1])
     idx = np.linspace(0, points.shape[1] - 1, n_traj).astype(int)
     x0 = points[:, idx]
 
     rhs = as_array_rhs(zero_dynamics_field(tau.plant, tau.exo))
-    traj = rk4_fixed(rhs, x0, (0.0, horizon), h=dt)
+    traj = rk4_fixed(rhs, x0, (0.0, _VERIFY_HORIZON), h=_VERIFY_DT)
     # tau over all states at once: (steps+1, n+r, n_traj) -> (n+r, ...)
     flat = np.moveaxis(traj.states, 0, -1).reshape(points.shape[0], -1)
     tau_vals = tau(flat).reshape(im.d, n_traj, traj.states.shape[0])
@@ -229,4 +237,4 @@ def verify_internal_model(im: InternalModel, tau: TauChain, cloud,
         (points.shape[1],))
     residual_output = float(np.max(np.abs(tau_cloud[0] + q_vals)))
     return ImVerification(residual_flow=residual_flow,
-                          residual_output=residual_output, tol=tol)
+                          residual_output=residual_output)

@@ -197,8 +197,8 @@ def run_closed_loop(plant, exo, cc, x0, t_span, form: str = "xi",
     return _run(field, layout, x0, t_span, method, **kwargs)
 
 
-def run_observer_cascade(plant, exo, im, G, x0, t_span,
-                         method: str = "rk4", **kwargs) -> Trajectory:
-    """Integrate the zero-dynamics/observer cascade from [z, w, xi] states."""
+def run_observer_cascade(plant, exo, im, G, x0, t_span, **kwargs) -> Trajectory:
+    """Integrate the zero-dynamics/observer cascade from [z, w, xi] states on
+    the fixed RK4 grid, so a run from a matched-cloud start retraces the cloud."""
     field, layout = zero_dynamics_observer_field(plant, exo, im, G)
-    return _run(field, layout, x0, t_span, method, **kwargs)
+    return _run(field, layout, x0, t_span, "rk4", **kwargs)

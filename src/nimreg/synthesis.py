@@ -46,8 +46,7 @@ def synthesize(bench: Benchmark, sets: ScenarioSets, *, d: int | None = None,
     est = analysis.estimate_attractor(bench.plant, bench.exo, sets,
                                       w0_sampler=bench.w0_sampler, **cloud)
     tau = build_tau(bench.plant, bench.exo, d)
-    box = analysis.tau_image_box(tau, est)
-    driver = saturate(bench.f, box, tau.image_extent)
+    driver = saturate(bench.f, *analysis._tau_image(tau, est))
     im = InternalModel(d=d, driver=driver)
     ver = verify_internal_model(im, tau, est)
     return Synthesis(bench=bench, sets=sets, est=est, tau=tau, driver=driver,

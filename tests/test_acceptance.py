@@ -200,7 +200,7 @@ def test_coordinate_change_equivalence(stacks):
         z0 = sample_box(s.sets.z_box, 20, rng)
         e0 = sample_box(s.sets.e_interval, 20, rng)
         w0 = s.bench.w0_sampler(20, rng)
-        xi0 = sample_box(s.tau.image_box, 20, rng)
+        xi0 = sample_box(s.driver.s_box, 20, rng)
         x_xi = np.concatenate([z0, e0, w0, xi0])
         x_eta = np.concatenate([z0, e0, w0, xi0 - G[:, None] * e0])
         kw = dict(h=1e-3, dt_out=0.05)

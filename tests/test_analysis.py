@@ -16,8 +16,10 @@ from nimreg import (
     ExosystemSpec,
     PlantSpec,
     ScenarioSets,
+    build_tau,
     design_gains,
     estimate_attractor,
+    find_kappa_star,
     fit_decay,
     fit_linear_driver,
     get_benchmark,
@@ -32,11 +34,11 @@ from nimreg.analysis import (
     _thin,
     auto_feedback_gain,
     check_forward_invariance,
+    graph_convergence_experiment,
     graph_invariance_experiment,
     perturbation_decay_experiment,
     tau_image_box,
     tracking_error_decay,
-    validate_xi_box,
 )
 from nimreg.errors import (
     BoundednessError,
@@ -299,23 +301,20 @@ def test_graph_distance_validates_slots(stacks):
 
 def test_tau_image_box_strictly_contains_extent(stacks):
     s = stacks("harmonic")
-    assert s.tau.image_box is not None
-    assert np.all(s.tau.image_box[:, 0] < s.tau.image_extent[:, 0])
-    assert np.all(s.tau.image_box[:, 1] > s.tau.image_extent[:, 1])
+    tau = build_tau(s.bench.plant, s.bench.exo, s.bench.d)
+    box = tau_image_box(tau, s.est)
+    assert box is tau.image_box
+    assert np.all(box[:, 0] < tau.image_extent[:, 0])
+    assert np.all(box[:, 1] > tau.image_extent[:, 1])
     # unit-circle exosystem: extent approaches [-1, 1] on each axis
-    assert np.allclose(s.tau.image_extent, [[-1, 1], [-1, 1]], atol=5e-3)
+    assert np.allclose(tau.image_extent, [[-1, 1], [-1, 1]], atol=5e-3)
+    # the synthesized driver saturates outside the same box
+    assert np.array_equal(s.driver.s_box, box)
 
 
 def test_tau_image_box_floor_on_degenerate_image(stacks):
     s = stacks("static")
-    assert np.allclose(s.tau.image_box, [[-1e-3, 1e-3]], atol=1e-15)
-
-
-def test_validate_xi_box_rejects_tight_box(stacks):
-    s = stacks("harmonic")
-    from nimreg.errors import ConfigError
-    with pytest.raises(ConfigError):
-        validate_xi_box(np.array([[-0.5, 0.5], [-0.5, 0.5]]), s.tau)
+    assert np.allclose(s.driver.s_box, [[-1e-3, 1e-3]], atol=1e-15)
 
 
 # decay fitting -------------------------------------------------------------------
@@ -451,13 +450,14 @@ def test_perturbation_rate_independent_of_other_sizes(stacks, matched_clouds,
     assert repr(paired.rates[0]) == repr(alone.rates[0])
 
 
-def test_auto_feedback_gain_exhaustion(stacks):
+def test_auto_feedback_gain_exhaustion(stacks, monkeypatch):
     s = stacks("static")
     gd = design_gains(1, 1.5, lipschitz=s.driver.L)
+    # below the first candidate, k_bar = 1: the search has nothing to try
+    monkeypatch.setattr(nimreg.analysis, "_K_BAR_MAX", 0.5)
     with pytest.raises(SearchError):
         auto_feedback_gain(s.bench.plant, s.bench.exo, s.im, s.tau, gd,
-                           s.sets, w0_sampler=s.bench.w0_sampler,
-                           k_bar_max=0.5)
+                           s.sets, w0_sampler=s.bench.w0_sampler)
 
 
 def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
@@ -523,6 +523,61 @@ def test_regulation_dopri5_chi_rate_is_tolerance_independent(stacks,
                               rtol=rtol).fit_chi.alpha
         for rtol in (1e-9, 1e-10)]
     assert alphas[1] == pytest.approx(alphas[0], rel=0.02)
+
+
+def test_regulation_fits_distances_only_at_held_check_times(stacks, monkeypatch):
+    # the graph distance is checked every 0.05 s at first; an output grid of
+    # 0.1 s holds every other one of those times, and the fit must see only
+    # those, at their own times
+    s = stacks("harmonic")
+    fitted = []
+    original = nimreg.analysis._median_fit
+
+    def recording(t, values, **fit):
+        fitted.append((np.array(t), np.array(values)))
+        return original(t, values, **fit)
+
+    monkeypatch.setattr(nimreg.analysis, "_median_fit", recording)
+    gd = design_gains(2, 4.0, lipschitz=s.driver.L)
+    cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 8.0)
+    rep = regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
+                                w0_sampler=s.bench.w0_sampler, est=s.est,
+                                horizon=6.0, dt_out=0.1, n_runs=3)
+    traj = rep.trajectory
+    times, dvals = fitted[-1]
+    rows = np.searchsorted(traj.t, times - 1e-12)
+    assert np.max(np.abs(traj.t[rows] - times)) < 1e-9
+    assert np.unique(rows).size == rows.size
+    expect = nimreg.analysis._distance_curve(s.tau, s.est, traj, rows)
+    assert np.array_equal(dvals, expect)
+    assert times.tolist()[:7] == pytest.approx([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 1.0])
+
+
+def test_experiments_take_the_xi_box_from_the_driver(stacks, matched_clouds,
+                                                     kappa_stars):
+    # a tau chain never given a box runs every experiment exactly as the
+    # synthesized one: the xi starts come from im.driver.s_box alone
+    s = stacks("harmonic")
+    fresh = build_tau(s.bench.plant, s.bench.exo, s.bench.d)
+    assert fresh.image_box is None
+    plant, exo, w0 = s.bench.plant, s.bench.exo, s.bench.w0_sampler
+    gd = kappa_stars("harmonic").design
+    cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
+    runs = {
+        "kappa": lambda tau: find_kappa_star(plant, exo, s.im, tau, s.sets,
+                                             w0_sampler=w0),
+        "regulation": lambda tau: regulation_experiment(
+            plant, exo, cc, tau, s.sets, w0_sampler=w0, est=s.est,
+            horizon=4.0, n_runs=3),
+        "convergence": lambda tau: graph_convergence_experiment(
+            plant, exo, s.im, tau, s.est, gd.G, s.sets, w0_sampler=w0,
+            n_runs=3, horizon=4.0, tol=1e-2),
+        "perturbation": lambda tau: perturbation_decay_experiment(
+            plant, exo, s.im, tau, matched_clouds("harmonic"), gd.G,
+            sizes=(1e-2, 1e-3), n_runs=3, horizon=6.0),
+    }
+    for name, run in runs.items():
+        assert repr(run(fresh)) == repr(run(s.tau)), name
 
 
 def test_regulation_vdp_fits_tracking_error_rate(stacks, kappa_stars):

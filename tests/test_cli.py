@@ -273,3 +273,30 @@ def test_sweep_over_k_searches_kappa_once(tmp_path, monkeypatch):
           "--transient-time", "10", "--sample-time", "5"])
     assert len(calls) == 1
     assert "kappa_search_rate" in (tmp_path / "harmonic_k_40_report.txt").read_text()
+
+
+# the second run trips the overflow guard, so it has no fits at all
+@pytest.mark.parametrize("args", [QUICK_HARMONIC, QUICK_HARMONIC + ["--guard", "2.5"]],
+                         ids=["harmonic", "harmonic-diverged"])
+def test_report_residual_lines_are_the_fit_residuals(tmp_path, monkeypatch, args):
+    # each rate comes with the rms residual of its log-linear fit, so a rate
+    # fitted to a tracking error that does not decay can be told apart
+    import nimreg.cli
+
+    reports = []
+    original = nimreg.cli._run_experiment
+
+    def recording(pipe):
+        report, experiment = original(pipe)
+        reports.append(report)
+        return report, experiment
+
+    monkeypatch.setattr(nimreg.cli, "_run_experiment", recording)
+    main(["run", "--out-dir", str(tmp_path)] + args)
+    (path,) = tmp_path.glob("*_report.txt")
+    lines = dict(line.split(" = ", 1) for line in path.read_text().splitlines())
+    (report,) = reports
+    for key, fit in (("alpha_e", report.fit_e), ("alpha_chi", report.fit_chi),
+                     ("alpha_dist", report.fit_dist)):
+        assert lines[f"{key}_residual"] == ("none" if fit is None
+                                            else repr(fit.residual)), key

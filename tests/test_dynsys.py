@@ -83,7 +83,6 @@ def test_plant_spec_rejects_nonpositive_dim():
 def test_scenario_sets_e_interval_shapes():
     sets = ScenarioSets(z_box=[[-1, 1]], e_interval=[-0.5, 0.5])
     assert sets.e_interval.shape == (1, 2)
-    assert sets.xi_box is None
     with pytest.raises(ConfigError):
         ScenarioSets(z_box=[[-1, 1]], e_interval=[-0.5, 0.5], n_samples=0)
 

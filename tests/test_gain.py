@@ -145,12 +145,22 @@ def test_find_kappa_star_harmonic_meets_bound(stacks, kappa_stars):
 
 
 def test_find_kappa_star_accepts_explicit_xi_box(stacks):
-    # a tau without an image box is fine when the caller names the box the
-    # xi starts are drawn from
+    # a tau never given an image box is fine: the xi starts are drawn from
+    # the box the internal model's driver saturates outside
     s = stacks("static")
     tau = build_tau(s.bench.plant, s.bench.exo, s.bench.d)
     assert tau.image_box is None
-    sets = s.bench.scenario_sets(xi_box=s.tau.image_box)
-    search = find_kappa_star(s.bench.plant, s.bench.exo, s.im, tau, sets,
+    search = find_kappa_star(s.bench.plant, s.bench.exo, s.im, tau, s.sets,
                              w0_sampler=s.bench.w0_sampler)
     assert search.rate >= 0.3
+
+
+def test_find_kappa_star_design_equals_design_gains(stacks, kappa_stars):
+    s = stacks("harmonic")
+    search = kappa_stars("harmonic")
+    ref = design_gains(s.im.d, search.kappa, lipschitz=s.im.driver.L)
+    got = search.design
+    assert (got.d, got.poles, got.kappa, got.kappa_lb) == \
+        (ref.d, ref.poles, ref.kappa, ref.kappa_lb)
+    for name in ("G0", "G", "P"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name

@@ -81,6 +81,35 @@ def test_dopri5_dense_output_between_steps():
     assert np.max(np.abs(traj.states[:, 0] - np.exp(-traj.t))) < 1e-7
 
 
+def test_dopri5_dense_output_equals_per_sample_hermite(monkeypatch):
+    # one _hermite call per accepted step covers every sample inside it;
+    # each row must equal the call made for that sample alone, bit for bit
+    import nimreg.integrators
+
+    calls = []
+    original = nimreg.integrators._hermite
+
+    def recording(y0, y1, f0, f1, h, theta):
+        value = original(y0, y1, f0, f1, h, theta)
+        # the stage buffers are reused by later steps: keep copies
+        calls.append((y0.copy(), y1.copy(), f0.copy(), f1.copy(), h, theta, value))
+        return value
+
+    monkeypatch.setattr(nimreg.integrators, "_hermite", recording)
+    x0 = np.array([[1.0, 0.5], [0.0, -2.0]])
+    traj = dopri5(rotation, x0, (0.0, 3.0), dt_out=1e-3)
+    rows = 0
+    for y0, y1, f0, f1, h, theta, value in calls:
+        assert theta.shape == (value.shape[0], 1, 1)
+        for th, row in zip(theta[:, 0, 0], value):
+            assert np.array_equal(row, original(y0, y1, f0, f1, h,
+                                                min(max(float(th), 0.0), 1.0)))
+        rows += value.shape[0]
+    assert len(calls) == traj.meta["n_steps"]
+    assert rows == traj.t.size - 1
+    assert np.array_equal(np.concatenate([c[-1] for c in calls]), traj.states[1:])
+
+
 def test_dopri5_guard():
     def blowup(x):
         return x * x

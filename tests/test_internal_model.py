@@ -81,7 +81,7 @@ def test_saturate_clamps_outside_box():
 
 def test_saturate_margin_violation():
     with pytest.raises(ConfigError):
-        saturate(lambda eta: eta[0], [[-1, 1]], image_box=[[-1, 1]])
+        saturate(lambda eta: eta[0], [[-1, 1]], extent=[[-1, 1]])
 
 
 def test_saturated_driver_constants_bound_samples():

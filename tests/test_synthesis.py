@@ -29,8 +29,9 @@ def test_synthesize_matches_primitives():
 
     assert syn.bench is static and syn.sets is sets
     assert np.array_equal(syn.est.points, est.points)
-    assert np.array_equal(syn.tau.image_box, box)
-    assert np.array_equal(syn.tau.image_extent, tau.image_extent)
+    # the box lives on the driver only; tau stays as build_tau made it
+    assert syn.tau.image_box is None and syn.tau.image_extent is None
+    assert np.array_equal(syn.driver.s_box, box)
     assert (syn.driver.C, syn.driver.L) == (driver.C, driver.L)
     assert syn.im.d == static.d and syn.im.driver is syn.driver
     assert (syn.ver.residual_flow, syn.ver.residual_output) == \
