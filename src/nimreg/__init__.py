@@ -14,7 +14,6 @@ from .analysis import (
     PerturbationReport,
     RunReport,
     auto_feedback_gain,
-    check_forward_invariance,
     estimate_attractor,
     fit_decay,
     fit_linear_driver,
@@ -87,7 +86,6 @@ __all__ = [
     "auto_feedback_gain",
     "build_gain",
     "build_tau",
-    "check_forward_invariance",
     "design_gains",
     "estimate_attractor",
     "find_kappa_star",

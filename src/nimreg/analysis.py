@@ -38,7 +38,6 @@ from .sim import ControllerConfig, run_closed_loop, run_observer_cascade
 __all__ = [
     "AttractorEstimate",
     "estimate_attractor",
-    "check_forward_invariance",
     "tau_image_box",
     "graph_distance",
     "DecayFit",
@@ -60,7 +59,7 @@ __all__ = [
 # attractor estimation --------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class AttractorEstimate:
     """Point-cloud approximation of the zero-dynamics steady-state set.
 
@@ -189,30 +188,6 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
                              transient_time=transient_time,
                              sample_time=sample_time, h=h, dt_sample=dt_sample,
                              resolution=resolution, v_max=v_max)
-
-
-_INVARIANCE_T = 1.0
-_INVARIANCE_TOL = 1e-3
-_INVARIANCE_POINTS = 200
-
-
-def check_forward_invariance(est: AttractorEstimate, plant: PlantSpec,
-                             exo: ExosystemSpec) -> float:
-    """Flow a spread of _INVARIANCE_POINTS cloud points for _INVARIANCE_T and
-    return the largest nearest-neighbor distance back to the cloud; raise
-    BoundednessError when it reaches _INVARIANCE_TOL."""
-    pts = est.points
-    idx = np.linspace(0, pts.shape[1] - 1,
-                      min(_INVARIANCE_POINTS, pts.shape[1])).astype(int)
-    rhs = as_array_rhs(zero_dynamics_field(plant, exo))
-    endpoints = rk4_fixed(rhs, pts[:, idx], (0.0, _INVARIANCE_T)).final
-    worst = float(np.max(_nearest([(endpoints, pts)])))
-    if worst >= _INVARIANCE_TOL:
-        raise BoundednessError(
-            f"cloud is not forward-invariant at tolerance {_INVARIANCE_TOL:g} "
-            f"(worst return distance {worst:.3e})",
-            evidence={"worst": worst, "tol": _INVARIANCE_TOL})
-    return worst
 
 
 # candidate pairs evaluated at once: keeps the work in cache
@@ -659,6 +634,13 @@ def _settle_time(t: np.ndarray, abs_e: np.ndarray, eps: float):
 _TAIL_START = 0.8
 
 
+def _floored_fit(t: np.ndarray, values: np.ndarray, floor: float) -> DecayFit | None:
+    """_median_fit, or None when its window runs to the last sample: the
+    median never reached its floor, so the slope is no decay rate."""
+    fit = _median_fit(t, values, floor=floor)
+    return None if fit is None or fit.window[1] == t[-1] else fit
+
+
 def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
                           w0_sampler=None, est=None, eps: float = 1e-2,
                           eps_asym: float = 1e-4, horizon: float = 100.0,
@@ -670,7 +652,8 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
     """Close the loop from sampled Z x W x Xi x E states, with Xi the
     driver's saturation box cc.im.driver.s_box, and measure practical (enter
     and stay in the eps tube) and asymptotic (tail below eps_asym)
-    regulation."""
+    regulation.  A decay fit is None when its median never reached the
+    floor."""
     if cc.k_bar <= 0:
         raise PreconditionError(
             f"regulation needs k_bar > 0, got {cc.k_bar:g} (k too small for this gain)")
@@ -685,8 +668,8 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
              "kappa_lb": float(getattr(cc.gd, "kappa_lb", 0.0))}
     step = {"h": h} if method == "rk4" else {"rtol": rtol, "atol": atol}
     try:
-        traj = run_closed_loop(plant, exo, cc, x0, (0.0, horizon), form="xi",
-                               method=method, dt_out=dt_out, guard=guard, **step)
+        traj = run_closed_loop(plant, exo, cc, x0, (0.0, horizon), method=method,
+                               dt_out=dt_out, guard=guard, **step)
     except IntegrationError as exc:
         return RunReport(gains=gains, eps=eps, eps_asym=eps_asym, t_bar=None,
                          tail_sup_e=np.inf, fit_e=None, fit_chi=None, fit_dist=None,
@@ -703,12 +686,12 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
     fit_e = fit_chi = fit_dist = None
     if fit_curves:
         floor = _noise_floor(method, rtol)
-        fit_e = _median_fit(traj.t, abs_e, floor=floor)
-        fit_chi = _median_fit(traj.t, _chi_norms(tau, traj), floor=floor)
+        fit_e = _floored_fit(traj.t, abs_e, floor)
+        fit_chi = _floored_fit(traj.t, _chi_norms(tau, traj), floor)
         if est is not None:
             rows, times = _check_rows(traj.t, 0.05)
             dvals = _distance_curve(tau, est, traj, rows)
-            fit_dist = _median_fit(times, dvals, floor=_coverage_floor(est))
+            fit_dist = _floored_fit(times, dvals, _coverage_floor(est))
     verdicts = {"practical": t_bar is not None, "asymptotic": tail_sup < eps_asym}
     return RunReport(gains=gains, eps=eps, eps_asym=eps_asym, t_bar=t_bar,
                      tail_sup_e=tail_sup, fit_e=fit_e, fit_chi=fit_chi,

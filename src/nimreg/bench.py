@@ -11,12 +11,12 @@ exosystem states can be placed on the attractor rather than near it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .dynsys import ExosystemSpec, PlantSpec, ScenarioSets, as_array_rhs, inflate_box
+from .dynsys import ExosystemSpec, PlantSpec, ScenarioSets, inflate_box
 from .errors import ConfigError
 from .integrators import _hermite, dopri5
 

@@ -17,7 +17,6 @@ from .errors import ConfigError, FitError, IntegrationError, PreconditionError, 
 
 __all__ = [
     "place_poles",
-    "matched_pole_error",
     "solve_lyapunov",
     "build_gain",
     "kappa_lower_bound",
@@ -70,34 +69,6 @@ def place_poles(d: int, poles=None) -> np.ndarray:
     return G0
 
 
-def matched_pole_error(G0: np.ndarray, poles) -> float:
-    """Worst distance between each requested pole and the mean of its matched
-    eigenvalue cluster.
-
-    For repeated poles the individual eigenvalues of the companion matrix are
-    perturbed like eps^(1/mult), but their mean is backward stable, so the
-    comparison is done per multiplicity cluster.
-    """
-    poles = np.atleast_1d(np.asarray(poles, dtype=complex))
-    eig = np.linalg.eigvals(_companion(np.asarray(G0, dtype=float)))
-    clusters: list[list] = []
-    for p in sorted(poles, key=lambda v: (v.real, v.imag)):
-        if clusters and abs(p - clusters[-1][0]) < 1e-9:
-            clusters[-1].append(p)
-        else:
-            clusters.append([p])
-    avail = list(eig)
-    worst = 0.0
-    for members in clusters:
-        value = members[0]
-        picked = []
-        for _ in members:
-            i = int(np.argmin([abs(a - value) for a in avail]))
-            picked.append(avail.pop(i))
-        worst = max(worst, abs(np.mean(picked) - value))
-    return float(worst)
-
-
 def solve_lyapunov(A: np.ndarray) -> np.ndarray:
     """Solve P A + A^T P = -I for symmetric positive definite P.
 
@@ -147,7 +118,7 @@ def kappa_lower_bound(lipschitz: float, P: np.ndarray) -> float:
     return 2.0 * float(lipschitz) * float(np.linalg.norm(P, 2))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class GainDesign:
     d: int
     poles: tuple
@@ -174,7 +145,7 @@ def _design(poles, G0, P, kappa: float, kappa_lb: float) -> GainDesign:
                       kappa_lb=kappa_lb)
 
 
-@dataclass
+@dataclass(frozen=True)
 class KappaSearch:
     kappa: float
     rate: float

@@ -119,7 +119,7 @@ def _gradient_norms(f: Callable, pts: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(np.asarray(grad) ** 2, axis=0))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SaturatedDriver:
     """Driver clamped to the saturation box: f_c(eta) = f(clamp(eta)).
 
@@ -164,7 +164,7 @@ def saturate(f: Callable, s_box, extent=None) -> SaturatedDriver:
 # internal model --------------------------------------------------------------
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class InternalModel:
     """Chain-of-integrators field eta' = (eta_2, ..., eta_d, -f_c(eta)) with
     scalar read-out eta_1."""

@@ -1,16 +1,17 @@
 """Controller assembly and closed-loop simulation.
 
 The regulator is the internal-model copy xi' = Phi_c(xi) + G v with output
-u = xi_1 + v and the static loop v = -k y.  Closed loops come in two
-algebraically equivalent forms: the plain xi coordinates and the shifted
-eta = xi - G e coordinates, whose error equation exposes the effective gain
-k_bar = k - Gamma G.
+u = xi_1 + v and the static loop v = -k y.  The closed loop runs in the plain
+xi coordinates, as the controller is deployed.  The shifted coordinates
+eta = xi - G e, whose error equation exposes the effective gain
+k_bar = k - Gamma G, serve only as an analysis form: their field is the
+oracle of acceptance check 09 in tests/_oracles.py.
 
 State layouts, by slot order:
 
     zero dynamics          [z (n), w (r)]
     observer cascade       [z (n), w (r), xi (d)]
-    closed loop (both)     [z (n), e, w (r), xi or eta (d)]
+    closed loop            [z (n), e, w (r), xi (d)]
 
 Field builders return component fields (see dynsys); wrap with as_array_rhs
 to integrate.
@@ -34,15 +35,12 @@ if TYPE_CHECKING:
 __all__ = [
     "ControllerConfig",
     "StateLayout",
-    "closed_loop_field_xi",
-    "closed_loop_field_eta",
-    "zero_dynamics_observer_field",
     "run_closed_loop",
     "run_observer_cascade",
 ]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ControllerConfig:
     """Internal model, gain design, and the output-feedback gain k.
 
@@ -97,18 +95,14 @@ class StateLayout:
         return slice(off, off + self.d)
 
 
-def _gain_list(gd) -> list:
-    return [float(g) for g in np.asarray(gd.G, dtype=float).ravel()]
-
-
-def closed_loop_field_xi(plant: PlantSpec, exo: ExosystemSpec, cc: ControllerConfig):
+def _closed_loop_field(plant: PlantSpec, exo: ExosystemSpec, cc: ControllerConfig):
     """Closed loop in plain coordinates [z, e, w, xi]:
 
         z' = f0 + f1 e,  e' = q + xi_1 + v,  w' = s,  xi' = Phi_c(xi) + G v,
 
     with v = -k e."""
     n, r, d = plant.n, exo.r, cc.im.d
-    G = _gain_list(cc.gd)
+    G = [float(g) for g in np.asarray(cc.gd.G, dtype=float).ravel()]
     k = float(cc.k)
     im = cc.im
     layout = StateLayout(n=n, r=r, d=d, has_error=True)
@@ -127,35 +121,7 @@ def closed_loop_field_xi(plant: PlantSpec, exo: ExosystemSpec, cc: ControllerCon
     return field, layout
 
 
-def closed_loop_field_eta(plant: PlantSpec, exo: ExosystemSpec, cc: ControllerConfig):
-    """Closed loop in shifted coordinates [z, e, w, eta], eta = xi - G e:
-
-        z' = f0 + f1 e,  e' = q + eta_1 - k_bar e,  w' = s,
-        eta' = Phi_c(eta + G e) - G (eta_1 + G_1 e) - G q(z, e, w)."""
-    n, r, d = plant.n, exo.r, cc.im.d
-    G = _gain_list(cc.gd)
-    k_bar = float(cc.k_bar)
-    im = cc.im
-    layout = StateLayout(n=n, r=r, d=d, has_error=True)
-
-    def field(x):
-        z, e, w, eta = x[:n], x[n], x[n + 1:n + 1 + r], x[n + 1 + r:]
-        fz = plant.f0(z, w)
-        f1v = plant.f1(z, e, w)
-        zdot = tuple(a + b * e for a, b in zip(fz, f1v))
-        qv = plant.q(z, e, w)
-        edot = qv + eta[0] - k_bar * e
-        xi = [ec + g * e for ec, g in zip(eta, G)]
-        gamma_xi = xi[0]
-        phi = im.phi_c(xi)
-        etadot = tuple(p - g * (gamma_xi + qv) for p, g in zip(phi, G))
-        return zdot + (edot,) + tuple(exo.s(w)) + etadot
-
-    return field, layout
-
-
-def zero_dynamics_observer_field(plant: PlantSpec, exo: ExosystemSpec,
-                                 im: "InternalModel", G):
+def _cascade_field(plant: PlantSpec, exo: ExosystemSpec, im: "InternalModel", G):
     """Zero dynamics driving the internal-model copy, on [z, w, xi]:
 
         z' = f0,  w' = s,  xi' = Phi_c(xi) + G (-q(z, 0, w) - xi_1).
@@ -185,20 +151,15 @@ def _run(field, layout, x0, t_span, method, **kwargs) -> Trajectory:
     return traj
 
 
-def run_closed_loop(plant, exo, cc, x0, t_span, form: str = "xi",
-                    method: str = "rk4", **kwargs) -> Trajectory:
-    """Integrate the closed loop from stacked [z, e, w, xi-or-eta] states."""
-    if form == "xi":
-        field, layout = closed_loop_field_xi(plant, exo, cc)
-    elif form == "eta":
-        field, layout = closed_loop_field_eta(plant, exo, cc)
-    else:
-        raise ConfigError(f"unknown closed-loop form {form!r}")
+def run_closed_loop(plant, exo, cc, x0, t_span, method: str = "rk4",
+                    **kwargs) -> Trajectory:
+    """Integrate the closed loop from stacked [z, e, w, xi] states."""
+    field, layout = _closed_loop_field(plant, exo, cc)
     return _run(field, layout, x0, t_span, method, **kwargs)
 
 
 def run_observer_cascade(plant, exo, im, G, x0, t_span, **kwargs) -> Trajectory:
     """Integrate the zero-dynamics/observer cascade from [z, w, xi] states on
     the fixed RK4 grid, so a run from a matched-cloud start retraces the cloud."""
-    field, layout = zero_dynamics_observer_field(plant, exo, im, G)
+    field, layout = _cascade_field(plant, exo, im, G)
     return _run(field, layout, x0, t_span, "rk4", **kwargs)

@@ -24,6 +24,7 @@ from nimreg import (
     fit_linear_driver,
     get_benchmark,
     graph_distance,
+    linear_baseline_experiment,
     regulation_experiment,
 )
 import nimreg.analysis
@@ -33,7 +34,6 @@ from nimreg.analysis import (
     _nearest,
     _thin,
     auto_feedback_gain,
-    check_forward_invariance,
     graph_convergence_experiment,
     graph_invariance_experiment,
     perturbation_decay_experiment,
@@ -46,6 +46,8 @@ from nimreg.errors import (
     PreconditionError,
     SearchError,
 )
+
+from _oracles import check_forward_invariance
 
 
 # clouds -----------------------------------------------------------------------
@@ -590,6 +592,18 @@ def test_regulation_vdp_fits_tracking_error_rate(stacks, kappa_stars):
                                 n_runs=4)
     assert rep.fit_e is not None
     assert rep.fit_e.alpha == pytest.approx(rep.fit_chi.alpha, rel=0.2)
+
+
+def test_regulation_vdp_baseline_reports_no_rate(stacks):
+    # the linear comparator leaves a tracking error that never reaches its
+    # floor: every fit window would run to the last sample, so no slope is
+    # reported as a decay rate
+    s = stacks("vdp")
+    rep = linear_baseline_experiment(s.bench.plant, s.bench.exo, s.tau, s.est,
+                                     s.sets, w0_sampler=s.bench.w0_sampler,
+                                     horizon=20.0, n_runs=6)
+    assert rep.tail_sup_e > rep.eps_asym
+    assert (rep.fit_e, rep.fit_chi, rep.fit_dist) == (None, None, None)
 
 
 # decay probe ------------------------------------------------------------------

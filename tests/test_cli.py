@@ -2,7 +2,6 @@
 
 import csv
 from dataclasses import asdict
-from pathlib import Path
 
 import pytest
 

@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from nimreg import (build_gain, build_tau, design_gains, find_kappa_star,
                     kappa_lower_bound, place_poles, solve_lyapunov)
 from nimreg.errors import ConfigError
-from nimreg.gain import matched_pole_error
+
+from _oracles import matched_pole_error
 
 
 def companion(G0):

@@ -7,7 +7,7 @@ from nimreg import build_tau, get_benchmark, saturate, verify_internal_model
 from nimreg.analysis import tau_image_box
 from nimreg.dynsys import as_array_rhs
 from nimreg.errors import ConfigError, PreconditionError
-from nimreg.internal_model import InternalModel, TauChain
+from nimreg.internal_model import InternalModel
 
 
 def test_tau_harmonic_closed_form():

@@ -5,13 +5,17 @@ import pytest
 
 from nimreg import ControllerConfig, design_gains, get_benchmark, saturate
 from nimreg.errors import ConfigError
+from nimreg.dynsys import as_array_rhs, zero_dynamics_field
+from nimreg.integrators import rk4_fixed
 from nimreg.internal_model import InternalModel
 from nimreg.sim import (
     StateLayout,
-    closed_loop_field_xi,
+    _closed_loop_field,
     run_closed_loop,
     run_observer_cascade,
 )
+
+from _oracles import closed_loop_field_eta
 
 
 def _controller(d=2, kappa=2.0, k=9.0, f=None):
@@ -45,7 +49,7 @@ def test_state_layout_slices():
 def test_closed_loop_field_hand_value():
     bench = get_benchmark("harmonic")
     cc = _controller(k=9.0)
-    field, layout = closed_loop_field_xi(bench.plant, bench.exo, cc)
+    field, layout = _closed_loop_field(bench.plant, bench.exo, cc)
     z, e, w1, w2, xi1, xi2 = 0.3, 0.2, 0.8, -0.6, 0.1, -0.4
     out = np.asarray(field([z, e, w1, w2, xi1, xi2]), dtype=float)
     v = -9.0 * e
@@ -76,17 +80,9 @@ def test_run_closed_loop_rejects_wrong_state_size():
         run_closed_loop(bench.plant, bench.exo, cc, np.zeros(5), (0.0, 1.0))
 
 
-def test_run_closed_loop_unknown_form():
-    bench = get_benchmark("harmonic")
-    cc = _controller()
-    with pytest.raises(ConfigError):
-        run_closed_loop(bench.plant, bench.exo, cc, np.zeros(6), (0.0, 1.0),
-                        form="zeta")
-
-
 def test_xi_and_eta_forms_agree_on_error_signal():
-    # the eta form is the xi form under an affine change fixed by G; RK4
-    # commutes with it, so e(t) agrees to rounding
+    # the eta form (the test oracle) is the xi form under an affine change
+    # fixed by G; RK4 commutes with it, so e(t) agrees to rounding
     bench = get_benchmark("harmonic")
     cc = _controller(kappa=2.0, k=9.0)
     G = np.asarray(cc.gd.G, dtype=float)
@@ -98,18 +94,15 @@ def test_xi_and_eta_forms_agree_on_error_signal():
         x_xi = np.array([z0, e0, *w0, *xi0])
         x_eta = np.array([z0, e0, *w0, *(xi0 - G * e0)])
         t_xi = run_closed_loop(bench.plant, bench.exo, cc, x_xi, (0.0, 5.0),
-                               form="xi", h=1e-3, dt_out=0.05)
-        t_eta = run_closed_loop(bench.plant, bench.exo, cc, x_eta, (0.0, 5.0),
-                                form="eta", h=1e-3, dt_out=0.05)
+                               h=1e-3, dt_out=0.05)
+        eta_rhs = as_array_rhs(closed_loop_field_eta(bench.plant, bench.exo, cc))
+        t_eta = rk4_fixed(eta_rhs, x_eta, (0.0, 5.0), h=1e-3, dt_out=0.05)
         e_gap = np.max(np.abs(t_xi.states[:, 1] - t_eta.states[:, 1]))
         assert e_gap < 1e-12
 
 
 def test_observer_cascade_zw_block_is_autonomous():
     # the (z, w) slots of the cascade match a bare zero-dynamics run exactly
-    from nimreg.dynsys import as_array_rhs, zero_dynamics_field
-    from nimreg.integrators import rk4_fixed
-
     bench = get_benchmark("harmonic")
     cc = _controller()
     zw0 = np.array([0.4, 0.9, -0.1])

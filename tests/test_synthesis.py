@@ -1,10 +1,17 @@
-"""synthesize() against the same construction done primitive by primitive."""
+"""synthesize() against the same construction done primitive by primitive,
+and the objects it shares between stages are immutable."""
+
+import dataclasses
 
 import numpy as np
+import pytest
 
 from nimreg import (
+    AttractorEstimate,
+    ControllerConfig,
     InternalModel,
     build_tau,
+    design_gains,
     estimate_attractor,
     get_benchmark,
     saturate,
@@ -12,6 +19,7 @@ from nimreg import (
     tau_image_box,
     verify_internal_model,
 )
+from nimreg.gain import KappaSearch
 
 
 def test_synthesize_matches_primitives():
@@ -36,3 +44,31 @@ def test_synthesize_matches_primitives():
     assert syn.im.d == static.d and syn.im.driver is syn.driver
     assert (syn.ver.residual_flow, syn.ver.residual_output) == \
         (ver.residual_flow, ver.residual_output)
+
+
+def _shared_objects() -> dict:
+    driver = saturate(lambda eta: eta[0], [[-2, 2]] * 2)
+    im = InternalModel(d=2, driver=driver)
+    gd = design_gains(2, 2.0, lipschitz=driver.L)
+    pts = np.zeros((2, 1))
+    return {
+        "SaturatedDriver": driver,
+        "InternalModel": im,
+        "GainDesign": gd,
+        "KappaSearch": KappaSearch(kappa=2.0, rate=1.0, kappa_lb=gd.kappa_lb,
+                                   history=[], design=gd),
+        "ControllerConfig": ControllerConfig(im=im, gd=gd, k=9.0),
+        "AttractorEstimate": AttractorEstimate(points=pts, sources=pts,
+                                               transient_time=0.0, sample_time=0.0,
+                                               h=1e-3, dt_sample=1e-3),
+    }
+
+
+@pytest.mark.parametrize("name, field", [
+    ("SaturatedDriver", "s_box"), ("InternalModel", "driver"), ("GainDesign", "G"),
+    ("KappaSearch", "kappa"), ("ControllerConfig", "k"), ("AttractorEstimate", "points"),
+])
+def test_shared_objects_are_frozen(name, field):
+    obj = _shared_objects()[name]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, field, getattr(obj, field))
