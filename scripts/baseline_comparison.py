@@ -40,12 +40,8 @@ def compare(name: str, kappa: float, k_bar: float, horizon: float, seed: int):
     k = float(gd.G[0]) + k_bar
 
     cc = ControllerConfig(im=syn.im, gd=gd, k=k)
-    nl = regulation_experiment(bench.plant, bench.exo, cc, syn.tau, syn.sets,
-                               w0_sampler=bench.w0_sampler, est=syn.est,
-                               horizon=horizon)
-    lin = linear_baseline_experiment(bench.plant, bench.exo, syn.tau, syn.est,
-                                     syn.sets, gd, k, w0_sampler=bench.w0_sampler,
-                                     horizon=horizon)
+    nl = regulation_experiment(syn, cc, horizon=horizon)
+    lin = linear_baseline_experiment(syn, gd, k, horizon=horizon)
     return nl, lin, coef
 
 

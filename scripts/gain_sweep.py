@@ -1,18 +1,17 @@
 """Sweep the high-gain parameter and check the decay-rate trend.
 
-Finds kappa* for the chosen benchmark, then reruns the tracking-error decay
-probe at kappa*, 2 kappa*, and 4 kappa*.  The fitted rate alpha should not
-degrade as kappa grows (it typically saturates once the observer is much
-faster than the plant); a decrease bigger than the tolerance is reported but
-does not abort, since the rate fit on a short window is noisy.
+Finds kappa* for the chosen benchmark, then reruns find_kappa_star's
+tracking-error decay probe, on the same starts and horizon, at kappa*,
+2 kappa* and 4 kappa*; the kappa* row repeats the search's rate.  The fitted
+rate alpha should not degrade as kappa grows (it typically saturates once the
+observer is much faster than the plant); a decrease bigger than the tolerance
+is reported but does not abort, since the rate fit on a short window is noisy.
 
     python3 scripts/gain_sweep.py vdp
 """
 
 import argparse
 import sys
-
-import numpy as np
 
 from nimreg import design_gains, find_kappa_star, get_benchmark, synthesize
 from nimreg.analysis import tracking_error_decay
@@ -22,33 +21,22 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("benchmark", choices=("harmonic", "vdp"))
     ap.add_argument("--multipliers", default="1,2,4")
-    ap.add_argument("--n-runs", type=int, default=20)
-    ap.add_argument("--horizon", type=float, default=2.0)
     ap.add_argument("--rate-drop-tol", type=float, default=0.05)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
     bench = get_benchmark(args.benchmark)
     syn = synthesize(bench, bench.scenario_sets(seed=args.seed))
-    tau = syn.tau
 
-    search = find_kappa_star(bench.plant, bench.exo, syn.im, tau, syn.sets,
-                             w0_sampler=bench.w0_sampler)
+    search = find_kappa_star(syn)
     kappa_star = search.kappa
     print(f"kappa* = {kappa_star:.6g} (lower bound 2L|P| = {search.kappa_lb:.6g}, "
           f"rate at kappa* = {search.rate:.4g})")
 
-    mults = [float(m) for m in args.multipliers.split(",")]
-    # the probe states of find_kappa_star: same generator seed and draw order
-    rng = np.random.default_rng(args.seed + 3)
-    z0, w0, xi0, _ = syn.sets.sample(bench.exo, rng, args.n_runs,
-                                     w0_sampler=bench.w0_sampler,
-                                     xi_box=syn.driver.s_box)
     rates = []
-    for m in mults:
+    for m in map(float, args.multipliers.split(",")):
         gd = design_gains(bench.d, m * kappa_star, lipschitz=syn.driver.L)
-        fit = tracking_error_decay(bench.plant, bench.exo, syn.im, tau, gd.G,
-                                   z0=z0, w0=w0, xi0=xi0, horizon=args.horizon)
+        fit = tracking_error_decay(syn, gd.G)
         rates.append(fit.alpha)
         print(f"kappa = {m * kappa_star:12.6g}  alpha = {fit.alpha:.4g}  "
               f"window = {fit.window}  residual = {fit.residual:.3g}")

@@ -431,13 +431,25 @@ def _chi_norms(tau: TauChain, traj: Trajectory) -> np.ndarray:
     return norms if traj.states.ndim == 3 else norms[:, 0]
 
 
-def tracking_error_decay(plant, exo, im, tau, G, *, z0, w0, xi0,
-                         horizon: float = 2.0, h: float = 1e-3) -> DecayFit:
-    """Median |chi| decay for the observer cascade from the given states."""
+_PROBE_RUNS = 20
+_KAPPA_PROBE_HORIZON = 2.0
+
+
+def tracking_error_decay(syn, G) -> DecayFit:
+    """Median |chi| decay for the observer cascade of syn at gain G over
+    _KAPPA_PROBE_HORIZON, from the kappa probe's starts: _PROBE_RUNS
+    scenarios drawn at sets.seed + 3, with xi from the driver's saturation
+    box."""
+    bench = syn.bench
+    rng = np.random.default_rng(syn.sets.seed + 3)
+    z0, w0, xi0, _ = syn.sets.sample(bench.exo, rng, _PROBE_RUNS,
+                                     w0_sampler=bench.w0_sampler,
+                                     xi_box=syn.im.driver.s_box)
     x0 = np.concatenate([z0, w0, xi0], axis=0)
-    traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
-                                h=h, dt_out=max(h, horizon / 400.0))
-    med = np.median(_chi_norms(tau, traj), axis=1)
+    traj = run_observer_cascade(bench.plant, bench.exo, syn.im, G, x0,
+                                (0.0, _KAPPA_PROBE_HORIZON),
+                                dt_out=_KAPPA_PROBE_HORIZON / 400.0)
+    med = np.median(_chi_norms(syn.tau, traj), axis=1)
     return fit_decay(traj.t, med, floor=_noise_floor())
 
 
@@ -641,35 +653,34 @@ def _floored_fit(t: np.ndarray, values: np.ndarray, floor: float) -> DecayFit | 
     return None if fit is None or fit.window[1] == t[-1] else fit
 
 
-def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
-                          w0_sampler=None, est=None, eps: float = 1e-2,
+def regulation_experiment(syn, cc: ControllerConfig, *, eps: float = 1e-2,
                           eps_asym: float = 1e-4, horizon: float = 100.0,
                           h: float = 1e-3, dt_out: float = 0.01,
-                          n_runs: int | None = None,
                           fit_curves: bool = True, guard: float = 1e9,
                           method: str = "rk4", rtol: float = 1e-9,
                           atol: float = 1e-12) -> RunReport:
-    """Close the loop from sampled Z x W x Xi x E states, with Xi the
-    driver's saturation box cc.im.driver.s_box, and measure practical (enter
-    and stay in the eps tube) and asymptotic (tail below eps_asym)
-    regulation.  A decay fit is None when its median never reached the
-    floor."""
+    """Close the loop of syn's plant under cc from syn.sets.n_samples
+    sampled Z x W x Xi x E states, with Xi the driver's saturation box
+    cc.im.driver.s_box, and measure practical (enter and stay in the eps
+    tube) and asymptotic (tail below eps_asym) regulation.  Graph distances
+    are fitted against syn.est.  A decay fit is None when its median never
+    reached the floor."""
     if cc.k_bar <= 0:
         raise PreconditionError(
             f"regulation needs k_bar > 0, got {cc.k_bar:g} (k too small for this gain)")
-    if n_runs is None:
-        n_runs = sets.n_samples
+    bench, sets, tau = syn.bench, syn.sets, syn.tau
     rng = np.random.default_rng(sets.seed + 2)
-    z0, w0, xi0, e0 = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
+    z0, w0, xi0, e0 = sets.sample(bench.exo, rng, sets.n_samples,
+                                  w0_sampler=bench.w0_sampler,
                                   xi_box=cc.im.driver.s_box)
     x0 = np.concatenate([z0, e0[None, :], w0, xi0], axis=0)
     gains = {"kappa": float(cc.gd.kappa), "k": float(cc.k), "k_bar": float(cc.k_bar),
              "C": float(cc.im.driver.C), "L": float(cc.im.driver.L),
-             "kappa_lb": float(getattr(cc.gd, "kappa_lb", 0.0))}
+             "kappa_lb": float(cc.gd.kappa_lb)}
     step = {"h": h} if method == "rk4" else {"rtol": rtol, "atol": atol}
     try:
-        traj = run_closed_loop(plant, exo, cc, x0, (0.0, horizon), method=method,
-                               dt_out=dt_out, guard=guard, **step)
+        traj = run_closed_loop(bench.plant, bench.exo, cc, x0, (0.0, horizon),
+                               method=method, dt_out=dt_out, guard=guard, **step)
     except IntegrationError as exc:
         return RunReport(gains=gains, eps=eps, eps_asym=eps_asym, t_bar=None,
                          tail_sup_e=np.inf, fit_e=None, fit_chi=None, fit_dist=None,
@@ -688,10 +699,9 @@ def regulation_experiment(plant, exo, cc: ControllerConfig, tau, sets, *,
         floor = _noise_floor(method, rtol)
         fit_e = _floored_fit(traj.t, abs_e, floor)
         fit_chi = _floored_fit(traj.t, _chi_norms(tau, traj), floor)
-        if est is not None:
-            rows, times = _check_rows(traj.t, 0.05)
-            dvals = _distance_curve(tau, est, traj, rows)
-            fit_dist = _floored_fit(times, dvals, _coverage_floor(est))
+        rows, times = _check_rows(traj.t, 0.05)
+        dvals = _distance_curve(tau, syn.est, traj, rows)
+        fit_dist = _floored_fit(times, dvals, _coverage_floor(syn.est))
     verdicts = {"practical": t_bar is not None, "asymptotic": tail_sup < eps_asym}
     return RunReport(gains=gains, eps=eps, eps_asym=eps_asym, t_bar=t_bar,
                      tail_sup_e=tail_sup, fit_e=fit_e, fit_chi=fit_chi,
@@ -715,12 +725,11 @@ def fit_linear_driver(tau: TauChain, est: AttractorEstimate) -> np.ndarray:
     return coef
 
 
-def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
-                               k: float | None = None, *, w0_sampler=None,
+def linear_baseline_experiment(syn, gd=None, k: float | None = None, *,
                                eps: float = 1e-2, eps_asym: float = 1e-4,
-                               horizon: float = 100.0, h: float = 1e-3,
-                               n_runs: int | None = None) -> RunReport:
-    """Swap the driver for its best linear fit and rerun regulation.
+                               horizon: float = 100.0, h: float = 1e-3) -> RunReport:
+    """Swap syn's driver for its best linear fit over syn.est and rerun
+    regulation.
 
     Defaults to mild comparator gains (kappa 2, k_bar 5).  Feedback
     attenuation of a feedforward mismatch grows roughly like kappa^2 * k_bar,
@@ -729,6 +738,7 @@ def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
     loop is too gentle to mask it.  Pass gd and k to compare at other gains,
     matched against a nonlinear run at the same values.
     """
+    tau, est = syn.tau, syn.est
     coef = fit_linear_driver(tau, est)
     if gd is None:
         gd = design_gains(tau.d, 2.0, lipschitz=float(np.linalg.norm(coef)))
@@ -744,10 +754,8 @@ def linear_baseline_experiment(plant, exo, tau, est, sets, gd=None,
     driver = saturate(f_lin, *_tau_image(tau, est))
     im_lin = InternalModel(d=tau.d, driver=driver)
     cc = ControllerConfig(im=im_lin, gd=gd, k=k)
-    report = regulation_experiment(plant, exo, cc, tau, sets,
-                                   w0_sampler=w0_sampler, est=est, eps=eps,
-                                   eps_asym=eps_asym, horizon=horizon, h=h,
-                                   n_runs=n_runs)
+    report = regulation_experiment(syn, cc, eps=eps, eps_asym=eps_asym,
+                                   horizon=horizon, h=h)
     report.gains["driver_coefficients"] = np.array2string(coef, separator=",")
     return report
 
@@ -761,25 +769,23 @@ _N_PROBE = 8
 _K_BAR_MAX = 256.0
 
 
-def auto_feedback_gain(plant, exo, im, tau, gd, sets, *, w0_sampler=None,
-                       eps: float = 1e-2) -> float:
+def auto_feedback_gain(syn, gd, *, eps: float = 1e-2) -> float:
     """Double k_bar, up to _K_BAR_MAX, until a probe scenario settles well
     inside the target time _T_TARGET; returns the full gain k = Gamma G + k_bar.
 
-    Each probe integrates _N_PROBE scenarios over _PROBE_HORIZON as one batch
-    on dopri5 at the default tolerances.  The verdict is coarse (enter the eps
-    tube by 0.75 _T_TARGET and stay there), so the fixed RK4 grid would buy
-    nothing but about ten times more steps."""
+    Each probe integrates _N_PROBE scenarios, drawn at sets.seed + 13, over
+    _PROBE_HORIZON as one batch on dopri5 at the default tolerances.  The
+    verdict is coarse (enter the eps tube by 0.75 _T_TARGET and stay there),
+    so the fixed RK4 grid would buy nothing but about ten times more steps."""
     gamma_g = float(np.asarray(gd.G).ravel()[0])
-    probe_sets = replace(sets, n_samples=_N_PROBE, seed=sets.seed + 13)
+    probe = replace(syn, sets=replace(syn.sets, n_samples=_N_PROBE,
+                                      seed=syn.sets.seed + 13))
     history = []
     k_bar = 1.0
     while k_bar <= _K_BAR_MAX:
         k = gamma_g + k_bar
-        cc = ControllerConfig(im=im, gd=gd, k=k)
-        rep = regulation_experiment(plant, exo, cc, tau, probe_sets,
-                                    w0_sampler=w0_sampler, eps=eps,
-                                    horizon=_PROBE_HORIZON, n_runs=_N_PROBE,
+        cc = ControllerConfig(im=syn.im, gd=gd, k=k)
+        rep = regulation_experiment(probe, cc, eps=eps, horizon=_PROBE_HORIZON,
                                     fit_curves=False, method="dopri5")
         ok = (rep.t_bar is not None and rep.t_bar <= 0.75 * _T_TARGET
               and rep.tail_sup_e < eps)

@@ -23,7 +23,7 @@ from .integrators import _hermite, dopri5
 __all__ = ["Benchmark", "registry", "get_benchmark", "reference_cycle"]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Benchmark:
     name: str
     plant: PlantSpec

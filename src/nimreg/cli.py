@@ -156,7 +156,7 @@ def build_pipeline(cfg: RunConfig, syn: Synthesis | None = None) -> Pipeline:
     """
     if syn is None:
         syn = _synthesis(cfg)
-    bench, d, L = syn.bench, syn.im.d, syn.driver.L
+    d, L = syn.im.d, syn.driver.L
     design = None
     k = None
     search = None
@@ -167,17 +167,12 @@ def build_pipeline(cfg: RunConfig, syn: Synthesis | None = None) -> Pipeline:
             k = float(cfg.k)
     else:
         if cfg.kappa is None:
-            search = find_kappa_star(bench.plant, bench.exo, syn.im, syn.tau,
-                                     syn.sets, w0_sampler=bench.w0_sampler,
-                                     poles=cfg.poles)
+            search = find_kappa_star(syn, poles=cfg.poles)
             design = search.design
         else:
             design = design_gains(d, cfg.kappa, lipschitz=L, poles=cfg.poles)
         if cfg.k is None:
-            k = analysis.auto_feedback_gain(bench.plant, bench.exo, syn.im,
-                                            syn.tau, design, syn.sets,
-                                            w0_sampler=bench.w0_sampler,
-                                            eps=cfg.eps)
+            k = analysis.auto_feedback_gain(syn, design, eps=cfg.eps)
         else:
             k = float(cfg.k)
     return Pipeline(cfg=cfg, syn=syn, design=design, k=k, kappa_search=search)
@@ -288,19 +283,14 @@ def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
 
 def _run_experiment(pipe: Pipeline):
     cfg, syn = pipe.cfg, pipe.syn
-    bench = syn.bench
-    common = dict(w0_sampler=bench.w0_sampler, eps=cfg.eps,
-                  eps_asym=cfg.eps_asym, horizon=cfg.horizon, h=cfg.h,
-                  n_runs=cfg.n_samples)
+    common = dict(eps=cfg.eps, eps_asym=cfg.eps_asym, horizon=cfg.horizon, h=cfg.h)
     if cfg.baseline:
         return analysis.linear_baseline_experiment(
-            bench.plant, bench.exo, syn.tau, syn.est, syn.sets,
-            pipe.design, pipe.k, **common), "linear-baseline"
+            syn, pipe.design, pipe.k, **common), "linear-baseline"
     cc = ControllerConfig(im=syn.im, gd=pipe.design, k=pipe.k)
     return analysis.regulation_experiment(
-        bench.plant, bench.exo, cc, syn.tau, syn.sets, est=syn.est,
-        dt_out=cfg.dt_out, method=cfg.method, rtol=cfg.rtol, atol=cfg.atol,
-        guard=cfg.guard, **common), "regulation"
+        syn, cc, dt_out=cfg.dt_out, method=cfg.method, rtol=cfg.rtol,
+        atol=cfg.atol, guard=cfg.guard, **common), "regulation"
 
 
 def cmd_run(args) -> int:

@@ -156,39 +156,32 @@ class KappaSearch:
 
 _ALPHA_MIN = 0.3
 _KAPPA_MAX = 1024.0
-_PROBE_RUNS = 20
 
 
-def find_kappa_star(plant, exo, im, tau, sets, *, w0_sampler=None,
-                    poles=None) -> KappaSearch:
+def find_kappa_star(syn, *, poles=None) -> KappaSearch:
     """Double kappa from the analytic bound, up to _KAPPA_MAX, until the
-    median tracking error |xi - tau(z, w)| over _PROBE_RUNS scenarios decays
-    at least at rate _ALPHA_MIN.
+    median tracking error |xi - tau(z, w)| of syn's observer cascade decays
+    at least at rate _ALPHA_MIN (analysis.tracking_error_decay).
 
     The certified bound is where the search starts; the returned kappa is the
     first empirically passing value, which may equal the bound.  The probe
-    draws xi starts from the driver's saturation box im.driver.s_box.
+    draws xi starts from the driver's saturation box syn.im.driver.s_box.
     """
     from .analysis import tracking_error_decay
 
-    d = im.d
+    d = syn.im.d
     if poles is None:
         poles = [-1.0] * d
     G0 = place_poles(d, poles)
     P = solve_lyapunov(_companion(G0))
-    bound = kappa_lower_bound(im.driver.L, P)
-    rng = np.random.default_rng(sets.seed + 3)
-    z0, w0, xi0, _ = sets.sample(exo, rng, _PROBE_RUNS, w0_sampler=w0_sampler,
-                                 xi_box=im.driver.s_box)
+    bound = kappa_lower_bound(syn.im.driver.L, P)
 
     kappa = max(1.0 + 1e-6, bound)
     history = []
     while kappa <= _KAPPA_MAX:
         alpha = None
         try:
-            fit = tracking_error_decay(plant, exo, im, tau, build_gain(G0, kappa),
-                                       z0=z0, w0=w0, xi0=xi0)
-            alpha = fit.alpha
+            alpha = tracking_error_decay(syn, build_gain(G0, kappa)).alpha
         except (FitError, IntegrationError):
             pass
         history.append((kappa, alpha))

@@ -4,7 +4,10 @@ The steady-state set of the zero dynamics is sampled into a cloud, the
 feedforward chain tau is evaluated over it, the driver is saturated outside
 the inflated tau image, and the internal model built on that driver is
 checked against its defining identities.  Every caller that needs these
-pieces gets them from synthesize().
+pieces gets them from synthesize(), and the stages after it (the kappa and
+k_bar searches, the kappa probe, regulation and the linear baseline) take
+the Synthesis whole: plant, exosystem and w0 sampler from bench, scenarios
+from sets, the graph-distance cloud from est.
 """
 
 from __future__ import annotations

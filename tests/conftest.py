@@ -75,10 +75,7 @@ def kappa_stars(stacks):
 
     def get(name: str):
         if name not in memo:
-            s = stacks(name)
-            memo[name] = find_kappa_star(s.bench.plant, s.bench.exo, s.im,
-                                         s.tau, s.sets,
-                                         w0_sampler=s.bench.w0_sampler)
+            memo[name] = find_kappa_star(stacks(name))
         return memo[name]
 
     return get
@@ -86,10 +83,7 @@ def kappa_stars(stacks):
 
 @pytest.fixture(scope="session")
 def vdp_auto_k(stacks, kappa_stars):
-    s = stacks("vdp")
-    gd = kappa_stars("vdp").design
-    return auto_feedback_gain(s.bench.plant, s.bench.exo, s.im, s.tau, gd,
-                              s.sets, w0_sampler=s.bench.w0_sampler)
+    return auto_feedback_gain(stacks("vdp"), kappa_stars("vdp").design)
 
 
 # acceptance summary plumbing -------------------------------------------------

@@ -5,6 +5,7 @@ internal models, gain searches) are shared infrastructure and are warmed up
 before the clock starts, except where the check explicitly covers a search.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -145,9 +146,7 @@ def vdp_regulation_run(stacks, kappa_stars, vdp_auto_k):
     s = stacks("vdp")
     cc = ControllerConfig(im=s.im, gd=kappa_stars("vdp").design, k=vdp_auto_k)
     t0 = time.perf_counter()
-    rep = regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
-                                w0_sampler=s.bench.w0_sampler, eps=1e-2,
-                                horizon=100.0, n_runs=50, fit_curves=False)
+    rep = regulation_experiment(s, cc, eps=1e-2, horizon=100.0, fit_curves=False)
     return rep, time.perf_counter() - t0, cc.k
 
 
@@ -177,9 +176,8 @@ def test_linear_driver_baseline_split(stacks):
     reports = {}
     for name in ("harmonic", "vdp"):
         s = stacks(name)
-        reports[name] = linear_baseline_experiment(
-            s.bench.plant, s.bench.exo, s.tau, s.est, s.sets,
-            w0_sampler=s.bench.w0_sampler, horizon=100.0, n_runs=20)
+        runs = dataclasses.replace(s, sets=dataclasses.replace(s.sets, n_samples=20))
+        reports[name] = linear_baseline_experiment(runs, horizon=100.0)
     ok = reports["harmonic"].tail_sup_e < 1e-4
     ok &= reports["vdp"].tail_sup_e >= 1e-2
     detail = (f"harmonic tail={reports['harmonic'].tail_sup_e:.2e} (pass) | "

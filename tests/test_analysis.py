@@ -6,6 +6,8 @@ its distance along the sorted axis alone exceeds a value the query already
 has, and it sums in the oracle's order.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -377,6 +379,11 @@ def test_fit_linear_driver_harmonic_is_identity_row(stacks):
 # experiment preconditions ---------------------------------------------------------
 
 
+def _runs(syn, n_runs: int):
+    """syn with n_runs scenarios, drawn from its own seed."""
+    return replace(syn, sets=replace(syn.sets, n_samples=n_runs))
+
+
 def test_invariance_requires_matched_cloud(stacks):
     s = stacks("harmonic")
     gd = design_gains(2, 2.0, lipschitz=s.driver.L)
@@ -399,8 +406,7 @@ def test_regulation_rejects_nonpositive_k_bar(stacks):
     gd = design_gains(1, 1.5, lipschitz=s.driver.L)
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]))  # k_bar = 0
     with pytest.raises(PreconditionError):
-        regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
-                              w0_sampler=s.bench.w0_sampler, horizon=1.0)
+        regulation_experiment(s, cc, horizon=1.0)
 
 
 def test_perturbation_ladder_rejects_degenerate_xi_box(stacks):
@@ -458,8 +464,7 @@ def test_auto_feedback_gain_exhaustion(stacks, monkeypatch):
     # below the first candidate, k_bar = 1: the search has nothing to try
     monkeypatch.setattr(nimreg.analysis, "_K_BAR_MAX", 0.5)
     with pytest.raises(SearchError):
-        auto_feedback_gain(s.bench.plant, s.bench.exo, s.im, s.tau, gd,
-                           s.sets, w0_sampler=s.bench.w0_sampler)
+        auto_feedback_gain(s, gd)
 
 
 def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
@@ -477,9 +482,8 @@ def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
     monkeypatch.setattr(nimreg.sim, "integrate", recording)
     gd = design_gains(2, 4.0, lipschitz=s.driver.L)
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
-    rep = regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
-                                w0_sampler=s.bench.w0_sampler, horizon=5.0,
-                                n_runs=3, fit_curves=False, method="dopri5")
+    rep = regulation_experiment(_runs(s, 3), cc, horizon=5.0, fit_curves=False,
+                                method="dopri5")
     # every run rides in one batch with one shared step sequence
     assert len(calls) == 1
     shape, meta = calls[0]
@@ -505,8 +509,7 @@ def test_auto_feedback_gain_probes_once_on_dopri5(stacks, kappa_stars,
         return original(*args, **kwargs)
 
     monkeypatch.setattr(nimreg.analysis, "regulation_experiment", recording)
-    k = auto_feedback_gain(s.bench.plant, s.bench.exo, s.im, s.tau, gd, s.sets,
-                           w0_sampler=s.bench.w0_sampler)
+    k = auto_feedback_gain(s, gd)
     # the first candidate, k_bar = 1, settles: one batched adaptive probe
     assert methods == ["dopri5"]
     assert k == float(gd.G[0]) + 1.0
@@ -519,9 +522,7 @@ def test_regulation_dopri5_chi_rate_is_tolerance_independent(stacks,
     s = stacks("vdp")
     cc = ControllerConfig(im=s.im, gd=kappa_stars("vdp").design, k=130.0)
     alphas = [
-        regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
-                              w0_sampler=s.bench.w0_sampler, horizon=60.0,
-                              n_runs=4, method="dopri5",
+        regulation_experiment(_runs(s, 4), cc, horizon=60.0, method="dopri5",
                               rtol=rtol).fit_chi.alpha
         for rtol in (1e-9, 1e-10)]
     assert alphas[1] == pytest.approx(alphas[0], rel=0.02)
@@ -542,9 +543,7 @@ def test_regulation_fits_distances_only_at_held_check_times(stacks, monkeypatch)
     monkeypatch.setattr(nimreg.analysis, "_median_fit", recording)
     gd = design_gains(2, 4.0, lipschitz=s.driver.L)
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 8.0)
-    rep = regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
-                                w0_sampler=s.bench.w0_sampler, est=s.est,
-                                horizon=6.0, dt_out=0.1, n_runs=3)
+    rep = regulation_experiment(_runs(s, 3), cc, horizon=6.0, dt_out=0.1)
     traj = rep.trajectory
     times, dvals = fitted[-1]
     rows = np.searchsorted(traj.t, times - 1e-12)
@@ -566,11 +565,9 @@ def test_experiments_take_the_xi_box_from_the_driver(stacks, matched_clouds,
     gd = kappa_stars("harmonic").design
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
     runs = {
-        "kappa": lambda tau: find_kappa_star(plant, exo, s.im, tau, s.sets,
-                                             w0_sampler=w0),
+        "kappa": lambda tau: find_kappa_star(replace(s, tau=tau)),
         "regulation": lambda tau: regulation_experiment(
-            plant, exo, cc, tau, s.sets, w0_sampler=w0, est=s.est,
-            horizon=4.0, n_runs=3),
+            replace(_runs(s, 3), tau=tau), cc, horizon=4.0),
         "convergence": lambda tau: graph_convergence_experiment(
             plant, exo, s.im, tau, s.est, gd.G, s.sets, w0_sampler=w0,
             n_runs=3, horizon=4.0, tol=1e-2),
@@ -587,9 +584,7 @@ def test_regulation_vdp_fits_tracking_error_rate(stacks, kappa_stars):
     # fit has to start at t = 0 to find a rate; e follows chi at about its rate
     s = stacks("vdp")
     cc = ControllerConfig(im=s.im, gd=kappa_stars("vdp").design, k=130.0)
-    rep = regulation_experiment(s.bench.plant, s.bench.exo, cc, s.tau, s.sets,
-                                w0_sampler=s.bench.w0_sampler, horizon=20.0,
-                                n_runs=4)
+    rep = regulation_experiment(_runs(s, 4), cc, horizon=20.0)
     assert rep.fit_e is not None
     assert rep.fit_e.alpha == pytest.approx(rep.fit_chi.alpha, rel=0.2)
 
@@ -599,9 +594,7 @@ def test_regulation_vdp_baseline_reports_no_rate(stacks):
     # floor: every fit window would run to the last sample, so no slope is
     # reported as a decay rate
     s = stacks("vdp")
-    rep = linear_baseline_experiment(s.bench.plant, s.bench.exo, s.tau, s.est,
-                                     s.sets, w0_sampler=s.bench.w0_sampler,
-                                     horizon=20.0, n_runs=6)
+    rep = linear_baseline_experiment(_runs(s, 6), horizon=20.0)
     assert rep.tail_sup_e > rep.eps_asym
     assert (rep.fit_e, rep.fit_chi, rep.fit_dist) == (None, None, None)
 
@@ -612,10 +605,4 @@ def test_regulation_vdp_baseline_reports_no_rate(stacks):
 def test_tracking_error_decay_harmonic(stacks):
     s = stacks("harmonic")
     gd = design_gains(2, 8.0, lipschitz=s.driver.L)
-    rng = np.random.default_rng(9)
-    z0 = rng.uniform(-1, 1, size=(1, 10))
-    w0 = s.bench.w0_sampler(10, rng)
-    xi0 = rng.uniform(-1, 1, size=(2, 10))
-    fit = tracking_error_decay(s.bench.plant, s.bench.exo, s.im, s.tau, gd.G,
-                               z0=z0, w0=w0, xi0=xi0)
-    assert fit.alpha > 0.5
+    assert tracking_error_decay(s, gd.G).alpha > 0.5

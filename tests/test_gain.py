@@ -5,6 +5,8 @@ A_cl = [[-2, 1], [-1, 0]], P = [[0.5, -0.5], [-0.5, 1.5]],
 |P|_2 = 1 + 1/sqrt(2), so the harmonic kappa bound 2 L |P| = 2 + sqrt(2).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -151,8 +153,7 @@ def test_find_kappa_star_accepts_explicit_xi_box(stacks):
     s = stacks("static")
     tau = build_tau(s.bench.plant, s.bench.exo, s.bench.d)
     assert tau.image_box is None
-    search = find_kappa_star(s.bench.plant, s.bench.exo, s.im, tau, s.sets,
-                             w0_sampler=s.bench.w0_sampler)
+    search = find_kappa_star(dataclasses.replace(s, tau=tau))
     assert search.rate >= 0.3
 
 

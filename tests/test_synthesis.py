@@ -52,6 +52,7 @@ def _shared_objects() -> dict:
     gd = design_gains(2, 2.0, lipschitz=driver.L)
     pts = np.zeros((2, 1))
     return {
+        "Benchmark": get_benchmark("static"),
         "SaturatedDriver": driver,
         "InternalModel": im,
         "GainDesign": gd,
@@ -65,7 +66,7 @@ def _shared_objects() -> dict:
 
 
 @pytest.mark.parametrize("name, field", [
-    ("SaturatedDriver", "s_box"), ("InternalModel", "driver"), ("GainDesign", "G"),
+    ("Benchmark", "mu"), ("SaturatedDriver", "s_box"), ("InternalModel", "driver"), ("GainDesign", "G"),
     ("KappaSearch", "kappa"), ("ControllerConfig", "k"), ("AttractorEstimate", "points"),
 ])
 def test_shared_objects_are_frozen(name, field):
