@@ -88,30 +88,28 @@ class AttractorEstimate:
 
 
 def _fold(grid: np.ndarray):
-    """Fold int64 cell-key rows grid (N, m) into one int64 key per row,
-    row-major over the per-axis key ranges, so thinning can find the
-    occupied cells with a 1-D np.unique.
-
-    Returns (keys, dims), dims[i] the number of keys axis i spans, or None
-    when the product of the ranges does not fit in int64."""
-    lo = grid.min(axis=0)
-    dims = [int(hi) - int(l) + 1 for hi, l in zip(grid.max(axis=0), lo)]
+    """Fold the int64 cell-key columns of grid (m, N) into one int64 key per
+    column, row-major over the per-axis key ranges, so thinning can find the
+    occupied cells with a 1-D np.unique; None when the product of the ranges
+    does not fit in int64."""
+    lo = grid.min(axis=1)
+    dims = [int(hi) - int(l) + 1 for hi, l in zip(grid.max(axis=1), lo)]
     if math.prod(dims) > np.iinfo(np.int64).max:
         return None
-    return np.ravel_multi_index(tuple((grid - lo).T), dims), np.array(dims)
+    return np.ravel_multi_index(tuple(grid - lo[:, None]), dims)
 
 
 def _thin(points: np.ndarray, resolution: float) -> np.ndarray:
     """Keep one representative per occupied grid cell of the given size: the
-    first point, in input order, to land in the cell.  points is (N, m);
-    result (K, m), in first-occurrence order."""
+    first point, in input order, to land in the cell.  points is (m, N);
+    result (m, K), in first-occurrence order."""
     grid = np.floor(points / resolution).astype(np.int64)
-    folded = _fold(grid)
-    if folded is None:
-        _, idx = np.unique(grid, axis=0, return_index=True)
+    keys = _fold(grid)
+    if keys is None:
+        _, idx = np.unique(grid, axis=1, return_index=True)
     else:
-        _, idx = np.unique(folded[0], return_index=True)
-    return points[np.sort(idx)]
+        _, idx = np.unique(keys, return_index=True)
+    return points[:, np.sort(idx)]
 
 
 def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
@@ -121,7 +119,14 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
                        h: float = 1e-3, dt_sample: float = 0.01,
                        resolution: float | None = 5e-4,
                        guard: float = 1e9) -> AttractorEstimate:
-    """Sample the zero-dynamics steady state from Z x W initial conditions.
+    """Sample the zero-dynamics steady state from Z x W initial conditions,
+    in (m, N) columns throughout.
+
+    With resolution None the cloud is the retained samples, source-major.
+    Otherwise cubic Hermite fill puts n_sub = max(1, ceil(2 v_max dt /
+    resolution)) points in each retention interval dt, v_max the top
+    zero-dynamics speed over the retained samples, and the fill (by source,
+    interval, then sub-position) is thinned.
 
     Integration failure is treated as evidence against the boundedness
     assumption and raised as BoundednessError.
@@ -145,49 +150,32 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
             evidence={"t_fail": exc.t_fail}) from exc
 
     j0 = int(np.searchsorted(traj.t, transient_time - 1e-9))
-    retained = traj.states[j0:]                     # (n_ret, m, n_src)
-    n_ret, m, _ = retained.shape
-
+    # (m, n_src, n_ret): source j's retained samples in time order
+    y = np.ascontiguousarray(np.transpose(traj.states[j0:], (1, 2, 0)))
+    m, _, n_ret = y.shape
+    common = dict(sources=x0, transient_time=transient_time,
+                  sample_time=sample_time, h=h, dt_sample=dt_sample)
     if resolution is None:
-        pts = np.transpose(retained, (1, 2, 0)).reshape(m, n_sources * n_ret)
-        return AttractorEstimate(points=np.ascontiguousarray(pts), sources=x0,
-                                 transient_time=transient_time,
-                                 sample_time=sample_time, h=h,
-                                 dt_sample=dt_sample, block_len=n_ret)
+        return AttractorEstimate(points=y.reshape(m, -1), block_len=n_ret, **common)
 
-    flat = np.transpose(retained, (1, 0, 2)).reshape(m, n_ret * n_sources)
-    speeds = np.sqrt(np.sum(rhs(flat) ** 2, axis=0))
-    v_max = float(np.max(speeds))
-    if v_max < 1e-12:
-        # Stationary attractor: the retained states already are the cloud.
-        pts = _thin(flat.T, resolution)
-        return AttractorEstimate(points=np.ascontiguousarray(pts.T), sources=x0,
-                                 transient_time=transient_time,
-                                 sample_time=sample_time, h=h,
-                                 dt_sample=dt_sample, resolution=resolution,
-                                 v_max=v_max)
-
-    dt_eff = traj.t[1] - traj.t[0]
-    n_sub = max(1, int(np.ceil(dt_eff / (resolution / (2.0 * v_max)))))
-    thetas = (np.arange(n_sub) / n_sub)[:, None]
+    f = rhs(y.reshape(m, -1)).reshape(y.shape)
+    v_max = float(np.max(np.sqrt(np.sum(f ** 2, axis=0))))
+    dt = traj.t[1] - traj.t[0]
+    n_sub = max(1, math.ceil(2.0 * v_max * dt / resolution))
+    thetas = np.arange(n_sub) / n_sub
     kept = []
     # chunk the Hermite fill so the dense samples never exist all at once
-    chunk = max(1, int(2e6 // max(n_sub, 1)))
+    chunk = max(1, int(2e6 // n_sub))
     for s in range(n_sources):
-        block = retained[:, :, s]                   # (n_ret, m)
-        fb = rhs(block.T).T
         for lo in range(0, n_ret - 1, chunk):
             hi = min(lo + chunk, n_ret - 1)
-            # (hi - lo, n_sub, m): every interval at every sub-position
-            dense = _hermite(block[lo:hi, None], block[lo + 1:hi + 1, None],
-                             fb[lo:hi, None], fb[lo + 1:hi + 1, None],
-                             dt_eff, thetas)
-            kept.append(_thin(dense.reshape(-1, m), resolution))
-    merged = _thin(np.concatenate(kept, axis=0), resolution)
-    return AttractorEstimate(points=np.ascontiguousarray(merged.T), sources=x0,
-                             transient_time=transient_time,
-                             sample_time=sample_time, h=h, dt_sample=dt_sample,
-                             resolution=resolution, v_max=v_max)
+            a, b = slice(lo, hi), slice(lo + 1, hi + 1)
+            # (m, intervals, n_sub): every interval at every sub-position
+            dense = _hermite(y[:, s, a, None], y[:, s, b, None],
+                             f[:, s, a, None], f[:, s, b, None], dt, thetas)
+            kept.append(_thin(dense.reshape(m, -1), resolution))
+    return AttractorEstimate(points=_thin(np.concatenate(kept, axis=1), resolution),
+                             resolution=resolution, v_max=v_max, **common)
 
 
 # candidate pairs evaluated at once: keeps the work in cache

@@ -59,6 +59,7 @@ def reference_cycle(mu: float = 1.0) -> dict:
     one period, cached per mu.
 
     Returned dict: t (n,), states (n, 2), f (n, 2), period, amplitude.
+    Every caller gets the same dict, so its arrays are read-only.
     Samples are accurate to roughly the integrator tolerance (1e-11), far
     inside the 1e-6 projection budget callers rely on.
     """
@@ -97,6 +98,8 @@ def reference_cycle(mu: float = 1.0) -> dict:
     loop = dopri5(rhs, state_a, (0.0, period), rtol=1e-11, atol=1e-13,
                   dt_out=period / n)
     fvals = np.stack([rhs(s) for s in loop.states])
+    for shared in (loop.t, loop.states, fvals):
+        shared.setflags(write=False)
     cycle = {"t": loop.t, "states": loop.states, "f": fvals,
              "period": float(period),
              "amplitude": float(np.max(np.abs(loop.states[:, 0]))), "mu": mu}

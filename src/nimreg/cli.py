@@ -120,10 +120,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         val = getattr(args, name, None)
         if val is not None:
             overrides[name] = _coerce(name, val) if isinstance(val, str) else val
-    # the baseline flag is store_true: False means "not given", never an override
-    overrides.pop("baseline", None)
-    if getattr(args, "baseline", False):
-        overrides["baseline"] = True
     return replace(cfg, **overrides)
 
 
@@ -156,25 +152,17 @@ def build_pipeline(cfg: RunConfig, syn: Synthesis | None = None) -> Pipeline:
     """
     if syn is None:
         syn = _synthesis(cfg)
-    d, L = syn.im.d, syn.driver.L
-    design = None
-    k = None
-    search = None
-    if cfg.baseline:
-        if cfg.kappa is not None:
-            design = design_gains(d, cfg.kappa, lipschitz=L, poles=cfg.poles)
-        if cfg.k is not None:
-            k = float(cfg.k)
-    else:
-        if cfg.kappa is None:
-            search = find_kappa_star(syn, poles=cfg.poles)
-            design = search.design
-        else:
-            design = design_gains(d, cfg.kappa, lipschitz=L, poles=cfg.poles)
-        if cfg.k is None:
-            k = analysis.auto_feedback_gain(syn, design, eps=cfg.eps)
-        else:
-            k = float(cfg.k)
+    design = search = k = None
+    if cfg.kappa is not None:
+        design = design_gains(syn.im.d, cfg.kappa, lipschitz=syn.driver.L,
+                              poles=cfg.poles)
+    elif not cfg.baseline:
+        search = find_kappa_star(syn, poles=cfg.poles)
+        design = search.design
+    if cfg.k is not None:
+        k = float(cfg.k)
+    elif not cfg.baseline:
+        k = analysis.auto_feedback_gain(syn, design, eps=cfg.eps)
     return Pipeline(cfg=cfg, syn=syn, design=design, k=k, kappa_search=search)
 
 
@@ -309,6 +297,10 @@ def cmd_run(args) -> int:
     return 0 if report.passed else 1
 
 
+# report keys copied into each sweep_<param>.csv row, after param and value
+_SWEEP_COLUMNS = ("kappa", "k", "k_bar", "tail_sup_e", "alpha_e", "t_bar")
+
+
 def cmd_sweep(args) -> int:
     cfg = load_config(args)
     param = args.param
@@ -331,9 +323,8 @@ def cmd_sweep(args) -> int:
     for value in grid:
         cfg_i = replace(cfg, **{param: value})
         stem = f"{cfg.benchmark}_{param}_{value:g}"
-        row = {"param": param, "value": value, "kappa": "", "k": "",
-               "k_bar": "", "tail_sup_e": "", "alpha_e": "", "t_bar": "",
-               "passed": "false"}
+        row = {"param": param, "value": value,
+               **dict.fromkeys(_SWEEP_COLUMNS, ""), "passed": "false"}
         try:
             pipe = (build_pipeline(cfg_i, None if param == "mu" else syn)
                     if shared is None else replace(shared, cfg=cfg_i, k=value))
@@ -349,15 +340,10 @@ def cmd_sweep(args) -> int:
             rows.append(row)
             all_passed = False
             continue
-        write_report(out / f"{stem}_report.txt",
-                     _report_items(pipe, report, experiment))
-        row.update({"kappa": report.gains.get("kappa", ""),
-                    "k": report.gains.get("k", ""),
-                    "k_bar": report.gains.get("k_bar", ""),
-                    "tail_sup_e": report.tail_sup_e,
-                    "alpha_e": report.fit_e.alpha if report.fit_e else "",
-                    "t_bar": report.t_bar if report.t_bar is not None else "",
-                    "passed": _fmt(bool(report.passed))})
+        items = _report_items(pipe, report, experiment)
+        write_report(out / f"{stem}_report.txt", items)
+        row.update({key: "" if items[key] is None else items[key]
+                    for key in _SWEEP_COLUMNS}, passed=_fmt(items["passed"]))
         rows.append(row)
         all_passed &= report.passed
         print(f"{param}={value:g}: tail_sup_e={report.tail_sup_e:.3e} "
@@ -403,7 +389,8 @@ def _add_config_flags(parser: argparse.ArgumentParser, include=None) -> None:
     for name in names:
         flag = "--" + name.replace("_", "-")
         if name == "baseline":
-            parser.add_argument(flag, action="store_true",
+            parser.add_argument(flag, action="store_const", const=True,
+                                default=None,
                                 help="run the linear-driver comparator")
         else:
             parser.add_argument(flag, dest=name, default=None, metavar="V",

@@ -129,12 +129,17 @@ class GainDesign:
     kappa_lb: float
 
 
+def _certificate(d: int, poles):
+    """(poles, G0, P): the poles (d copies of -1 when None), the gain G0
+    placing them and the Lyapunov certificate P of the placed matrix."""
+    poles = [-1.0] * d if poles is None else poles
+    G0 = place_poles(d, poles)
+    return poles, G0, solve_lyapunov(_companion(G0))
+
+
 def design_gains(d: int, kappa: float, lipschitz: float = 0.0,
                  poles=None) -> GainDesign:
-    if poles is None:
-        poles = [-1.0] * d
-    G0 = place_poles(d, poles)
-    P = solve_lyapunov(_companion(G0))
+    poles, G0, P = _certificate(d, poles)
     return _design(poles, G0, P, kappa, kappa_lower_bound(lipschitz, P))
 
 
@@ -169,11 +174,7 @@ def find_kappa_star(syn, *, poles=None) -> KappaSearch:
     """
     from .analysis import tracking_error_decay
 
-    d = syn.im.d
-    if poles is None:
-        poles = [-1.0] * d
-    G0 = place_poles(d, poles)
-    P = solve_lyapunov(_companion(G0))
+    poles, G0, P = _certificate(syn.im.d, poles)
     bound = kappa_lower_bound(syn.im.driver.L, P)
 
     kappa = max(1.0 + 1e-6, bound)

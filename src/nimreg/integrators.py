@@ -118,8 +118,7 @@ def rk4_fixed(rhs, x0, t_span, h: float = 1e-3, dt_out: float | None = None,
                        "n_rejected": 0})
 
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+# Dormand-Prince 5(4) tableau; rhs is autonomous, so the nodes c are not needed.
 _A = [
     np.array([]),
     np.array([1 / 5]),

@@ -38,7 +38,8 @@ class TauChain:
     tau_1 = -q(z, 0, w) and each later entry is the Lie derivative of the
     previous one along the zero dynamics.  image_extent (the bounding box of
     tau over an attractor estimate) and image_box (that extent, inflated)
-    stay None; only analysis.tau_image_box writes them, and nothing reads them.
+    stay None until analysis.tau_image_box writes them.  Nothing in the
+    package reads them; perfbench/workloads.py reads image_extent.
     """
 
     d: int

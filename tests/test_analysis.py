@@ -100,9 +100,9 @@ def test_thin_folded_keys_match_row_unique(n, m, log_res, seed):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, m)) * rng.uniform(0.1, 3.0, size=m)
     resolution = 10.0 ** log_res
-    assert _fold(np.floor(points / resolution).astype(np.int64)) is not None
-    np.testing.assert_array_equal(_thin(points, resolution),
-                                  _thin_by_rows(points, resolution))
+    assert _fold(np.floor(points.T / resolution).astype(np.int64)) is not None
+    np.testing.assert_array_equal(_thin(points.T, resolution),
+                                  _thin_by_rows(points, resolution).T)
 
 
 def test_thin_falls_back_to_row_unique_when_keys_overflow():
@@ -111,10 +111,25 @@ def test_thin_falls_back_to_row_unique_when_keys_overflow():
     points = np.concatenate([points, points[::7]])
     resolution = 1e-6
     # per-axis key ranges of about 2e11: their product overflows int64
-    assert _fold(np.floor(points / resolution).astype(np.int64)) is None
-    thinned = _thin(points, resolution)
-    assert thinned.shape == (500, 4)
-    np.testing.assert_array_equal(thinned, _thin_by_rows(points, resolution))
+    assert _fold(np.floor(points.T / resolution).astype(np.int64)) is None
+    thinned = _thin(points.T, resolution)
+    assert thinned.shape == (4, 500)
+    np.testing.assert_array_equal(thinned, _thin_by_rows(points, resolution).T)
+
+
+def test_stationary_zero_dynamics_cloud_is_the_thinned_sources():
+    # zero speed everywhere: one sub-position per interval, and every
+    # retained sample is its source
+    plant = PlantSpec(n=1, f0=lambda z, w: (0.0 * z[0],),
+                      f1=lambda z, e, w: (0.0,), q=lambda z, e, w: e)
+    exo = ExosystemSpec(r=1, s=lambda w: (0.0 * w[0],), w_box=[[-1.0, 1.0]])
+    sets = ScenarioSets(z_box=[[-1.0, 1.0]], e_interval=[-0.1, 0.1], n_samples=30)
+    resolution = 0.2
+    est = estimate_attractor(plant, exo, sets, transient_time=1.0,
+                             sample_time=0.5, resolution=resolution)
+    assert est.v_max == 0.0
+    np.testing.assert_array_equal(est.points, _thin(est.sources, resolution))
+    assert est.points.shape[1] < est.n_sources
 
 
 def test_estimate_attractor_raises_boundedness():

@@ -44,6 +44,14 @@ def test_vdp_cycle_cached_per_mu():
     assert reference_cycle(1.5) is not reference_cycle(1.0)
 
 
+def test_vdp_cycle_arrays_are_read_only():
+    # the cached dict is shared by every caller
+    cycle = reference_cycle(1.0)
+    for key in ("t", "states", "f"):
+        with pytest.raises(ValueError):
+            cycle[key][0] = 0.0
+
+
 def test_vdp_mu_changes_period():
     assert reference_cycle(1.5)["period"] - reference_cycle(1.0)["period"] > 0.1
 

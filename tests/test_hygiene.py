@@ -1,7 +1,11 @@
-"""Every import in the package, the tests and the scripts is used.
+"""Every import in the package, the tests and the scripts is used, and every
+private top-level name of the package is read somewhere.
 
 A name bound by an import counts as used when the module reads it anywhere,
-names it in a string annotation, or lists it in __all__.
+names it in a string annotation, or lists it in __all__.  A private name
+(one leading underscore) bound at the top level of a package module counts
+as read when a file in the package, the tests or the scripts loads it as a
+name or an attribute, or imports it.
 """
 
 import ast
@@ -64,3 +68,60 @@ def test_no_unused_imports():
     found = [f"{path.relative_to(ROOT)}:{line}: {name}"
              for path in FILES for line, name in unused_imports(path.read_text())]
     assert not found, "unused imports:\n" + "\n".join(found)
+
+
+def private_definitions(source: str) -> list:
+    """(line, name) of every private name bound at the module's top level."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
+
+
+def names_read(source: str) -> set:
+    """Names the module loads, attributes it loads, and names it imports."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+def test_private_checker_counts_loads_attributes_and_imports():
+    package = (
+        "_A, _B = 1, 2\n"
+        "_C: int = 3\n"
+        "__all__ = []\n"
+        "def _f():\n"
+        "    return _A\n"
+        "class _K:\n"
+        "    pass\n"
+        "_D = 4\n"
+        "_unused = 5\n"
+    )
+    other = "from pkg.mod import _B\nimport pkg\npkg.mod._C\npkg.mod._D = 0\n"
+    read = names_read(package) | names_read(other)
+    assert [(line, name) for line, name in private_definitions(package)
+            if name not in read] == [(4, "_f"), (6, "_K"), (8, "_D"), (9, "_unused")]
+
+
+def test_no_unread_private_names():
+    read = set().union(*(names_read(path.read_text()) for path in FILES))
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in FILES if path.parent.name == "nimreg"
+             for line, name in private_definitions(path.read_text())
+             if name not in read]
+    assert not found, "private names nothing reads:\n" + "\n".join(found)
