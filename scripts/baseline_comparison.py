@@ -36,7 +36,7 @@ def compare(name: str, kappa: float, k_bar: float, horizon: float, seed: int):
 
     coef = fit_linear_driver(syn.tau, syn.est)
     gd = design_gains(bench.d, kappa,
-                      lipschitz=max(syn.driver.L, float(np.linalg.norm(coef))))
+                      lipschitz=max(syn.im.driver.L, float(np.linalg.norm(coef))))
     k = float(gd.G[0]) + k_bar
 
     cc = ControllerConfig(im=syn.im, gd=gd, k=k)

@@ -35,7 +35,7 @@ def main() -> int:
 
     rates = []
     for m in map(float, args.multipliers.split(",")):
-        gd = design_gains(bench.d, m * kappa_star, lipschitz=syn.driver.L)
+        gd = design_gains(bench.d, m * kappa_star, lipschitz=syn.im.driver.L)
         fit = tracking_error_decay(syn, gd.G)
         rates.append(fit.alpha)
         print(f"kappa = {m * kappa_star:12.6g}  alpha = {fit.alpha:.4g}  "

@@ -70,13 +70,11 @@ class AttractorEstimate:
 
     points: np.ndarray
     sources: np.ndarray
-    transient_time: float
     sample_time: float
     h: float
     dt_sample: float
     block_len: int | None = None
     resolution: float | None = None
-    v_max: float | None = None
 
     @property
     def matched(self) -> bool:
@@ -153,7 +151,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     # (m, n_src, n_ret): source j's retained samples in time order
     y = np.ascontiguousarray(np.transpose(traj.states[j0:], (1, 2, 0)))
     m, _, n_ret = y.shape
-    common = dict(sources=x0, transient_time=transient_time,
+    common = dict(sources=x0,
                   sample_time=sample_time, h=h, dt_sample=dt_sample)
     if resolution is None:
         return AttractorEstimate(points=y.reshape(m, -1), block_len=n_ret, **common)
@@ -175,7 +173,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
                              f[:, s, a, None], f[:, s, b, None], dt, thetas)
             kept.append(_thin(dense.reshape(m, -1), resolution))
     return AttractorEstimate(points=_thin(np.concatenate(kept, axis=1), resolution),
-                             resolution=resolution, v_max=v_max, **common)
+                             resolution=resolution, **common)
 
 
 # candidate pairs evaluated at once: keeps the work in cache
@@ -266,13 +264,11 @@ def _tau_image(tau: TauChain, est: AttractorEstimate):
 
 
 def tau_image_box(tau: TauChain, est: AttractorEstimate) -> np.ndarray:
-    """The saturation box of _tau_image, stored on tau as image_box with the
-    extent as image_extent.  Nothing in the package reads the two stores
-    (the box lives on the driver as s_box); perfbench/workloads.py calls
-    this function and then reads tau.image_extent."""
+    """The saturation box of _tau_image, with the extent stored on tau as
+    image_extent for perfbench/workloads.py; the package itself reads the
+    box from the driver (s_box)."""
     box, extent = _tau_image(tau, est)
     tau.image_extent = extent
-    tau.image_box = box
     return box
 
 
@@ -449,9 +445,6 @@ class GraphReport:
     max_distance: float
     terminal_distance: float
     tol: float
-    fit: DecayFit | None
-    t_checked: np.ndarray
-    distances: np.ndarray
     error: str | None = None
 
     @property
@@ -473,7 +466,7 @@ def graph_invariance_experiment(plant, exo, im, tau, est, G, *,
     dist = _distance_curve(tau, est, traj)
     return GraphReport(max_distance=float(np.max(dist)),
                        terminal_distance=float(np.max(dist[-1])),
-                       tol=tol, fit=None, t_checked=traj.t, distances=dist)
+                       tol=tol)
 
 
 # distances are checked every head_dt over the first _HEAD_WINDOW seconds,
@@ -504,8 +497,8 @@ def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
 
     The terminal threshold is checked against est, which must resolve the
     attractor below tol.  The decay curve does not need that resolution, so
-    when curve_est is given the intermediate distances (and the fit) are
-    computed against it instead; expect the curve to floor out near its
+    when curve_est is given the intermediate distances, and so max_distance,
+    are computed against it instead; expect the curve to floor out near its
     coverage radius."""
     rng = np.random.default_rng(sets.seed + 1)
     z0, w0, xi0, _ = sets.sample(exo, rng, n_runs, w0_sampler=w0_sampler,
@@ -516,17 +509,14 @@ def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
                                     dt_out=_HEAD_DT)
     except IntegrationError as exc:
         return GraphReport(max_distance=np.inf,
-                           terminal_distance=np.inf, tol=tol, fit=None,
-                           t_checked=np.array([]), distances=np.array([[]]),
+                           terminal_distance=np.inf, tol=tol,
                            error=f"integration failed at t={exc.t_fail:g}")
-    rows, times = _check_rows(traj.t, _HEAD_DT)
+    rows, _ = _check_rows(traj.t, _HEAD_DT)
     ref = est if curve_est is None else curve_est
     dist = _distance_curve(tau, ref, traj, rows)
     terminal = _distance_curve(tau, est, traj, rows[-1:])
     return GraphReport(max_distance=float(np.max(dist)),
-                       terminal_distance=float(np.max(terminal)), tol=tol,
-                       fit=_median_fit(times, dist, floor=max(tol, _coverage_floor(ref))),
-                       t_checked=times, distances=dist)
+                       terminal_distance=float(np.max(terminal)), tol=tol)
 
 
 _ALPHA_REQ = 0.5
@@ -536,9 +526,7 @@ _PERTURB_T_MIN = 1.0
 
 @dataclass
 class PerturbationReport:
-    sizes: tuple
     rates: list
-    fits: list
 
     @property
     def passed(self) -> bool:
@@ -586,7 +574,7 @@ def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
                         t_min=_PERTURB_T_MIN, floor=size * 1e-3)
             for i, size in enumerate(sizes)]
     rates = [None if fit is None else fit.alpha for fit in fits]
-    return PerturbationReport(sizes=tuple(sizes), rates=rates, fits=fits)
+    return PerturbationReport(rates=rates)
 
 
 # regulation --------------------------------------------------------------------

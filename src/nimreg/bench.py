@@ -45,6 +45,17 @@ class Benchmark:
 
 # Van der Pol reference cycle ---------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class ReferenceCycle:
+    """One period of the Van der Pol limit cycle as dense samples: times t
+    (n,), states (n, 2) and field values f (n, 2) at them, and the period."""
+
+    t: np.ndarray
+    states: np.ndarray
+    f: np.ndarray
+    period: float
+
+
 _CYCLE_CACHE: dict = {}
 
 
@@ -54,12 +65,12 @@ def _vdp_rhs(mu: float):
     return rhs
 
 
-def reference_cycle(mu: float = 1.0) -> dict:
+def reference_cycle(mu: float = 1.0) -> ReferenceCycle:
     """Limit cycle of w' = (w2, mu (1 - w1^2) w2 - w1) as dense samples over
     one period, cached per mu.
 
-    Returned dict: t (n,), states (n, 2), f (n, 2), period, amplitude.
-    Every caller gets the same dict, so its arrays are read-only.
+    Every caller gets the same record, so it is frozen and its arrays are
+    read-only.
     Samples are accurate to roughly the integrator tolerance (1e-11), far
     inside the 1e-6 projection budget callers rely on.
     """
@@ -100,19 +111,18 @@ def reference_cycle(mu: float = 1.0) -> dict:
     fvals = np.stack([rhs(s) for s in loop.states])
     for shared in (loop.t, loop.states, fvals):
         shared.setflags(write=False)
-    cycle = {"t": loop.t, "states": loop.states, "f": fvals,
-             "period": float(period),
-             "amplitude": float(np.max(np.abs(loop.states[:, 0]))), "mu": mu}
+    cycle = ReferenceCycle(t=loop.t, states=loop.states, f=fvals,
+                           period=float(period))
     _CYCLE_CACHE[key] = cycle
     return cycle
 
 
 def _cycle_sampler(mu: float):
     cycle = reference_cycle(mu)
-    t, states, fvals = cycle["t"], cycle["states"], cycle["f"]
+    t, states, fvals = cycle.t, cycle.states, cycle.f
 
     def sample(count, rng):
-        phases = rng.uniform(0.0, cycle["period"], size=count)
+        phases = rng.uniform(0.0, cycle.period, size=count)
         idx = np.clip(np.searchsorted(t, phases) - 1, 0, t.size - 2)
         h = t[idx + 1] - t[idx]
         theta = ((phases - t[idx]) / h)[:, None]
@@ -147,8 +157,8 @@ def _harmonic() -> Benchmark:
 
 def _vdp(mu: float = 1.0) -> Benchmark:
     cycle = reference_cycle(mu)
-    extent = np.column_stack([cycle["states"].min(axis=0),
-                              cycle["states"].max(axis=0)])
+    extent = np.column_stack([cycle.states.min(axis=0),
+                              cycle.states.max(axis=0)])
     exo = ExosystemSpec(r=2,
                         s=lambda w: (w[1], mu * (1.0 - w[0] ** 2) * w[1] - w[0]),
                         w_box=inflate_box(extent, 0.05))

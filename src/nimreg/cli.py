@@ -154,7 +154,7 @@ def build_pipeline(cfg: RunConfig, syn: Synthesis | None = None) -> Pipeline:
         syn = _synthesis(cfg)
     design = search = k = None
     if cfg.kappa is not None:
-        design = design_gains(syn.im.d, cfg.kappa, lipschitz=syn.driver.L,
+        design = design_gains(syn.im.d, cfg.kappa, lipschitz=syn.im.driver.L,
                               poles=cfg.poles)
     elif not cfg.baseline:
         search = find_kappa_star(syn, poles=cfg.poles)

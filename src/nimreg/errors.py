@@ -24,12 +24,11 @@ class FitError(NimregError):
 class SearchError(NimregError):
     """A gain search exhausted its budget without meeting the target.
 
-    Carries the best decay rate seen so the caller can report evidence.
+    Carries the search history so the caller can report evidence.
     """
 
-    def __init__(self, message, best_rate=None, history=None):
+    def __init__(self, message, history=None):
         super().__init__(message)
-        self.best_rate = best_rate
         self.history = history or []
 
 

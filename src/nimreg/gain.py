@@ -191,8 +191,7 @@ def find_kappa_star(syn, *, poles=None) -> KappaSearch:
                                history=history,
                                design=_design(poles, G0, P, kappa, bound))
         kappa *= 2.0
-    rates = [a for _, a in history if a is not None]
     raise SearchError(
         f"no kappa <= {_KAPPA_MAX:g} reached decay rate {_ALPHA_MIN:g} "
         f"(analytic bound was {bound:g})",
-        best_rate=max(rates) if rates else None, history=history)
+        history=history)

@@ -37,15 +37,13 @@ class TauChain:
 
     tau_1 = -q(z, 0, w) and each later entry is the Lie derivative of the
     previous one along the zero dynamics.  image_extent (the bounding box of
-    tau over an attractor estimate) and image_box (that extent, inflated)
-    stay None until analysis.tau_image_box writes them.  Nothing in the
-    package reads them; perfbench/workloads.py reads image_extent.
+    tau over an attractor estimate) stays None until analysis.tau_image_box
+    writes it; only perfbench/workloads.py reads it.
     """
 
     d: int
     plant: PlantSpec
     exo: ExosystemSpec
-    image_box: np.ndarray | None = None
     image_extent: np.ndarray | None = None
 
     def __post_init__(self):

@@ -9,6 +9,10 @@ no symbolic algebra involved.
 
 Coefficients may be floats or broadcast-compatible numpy arrays, so a single
 jet evaluation can carry a whole batch of points.
+
+Jets support +, -, * and nonnegative integer powers only.  Anything else in
+a plant (division, sin, exp, ...) makes tau raise CapabilityError; in a
+driver, its Lipschitz constant comes from central differences instead.
 """
 
 from __future__ import annotations
@@ -24,9 +28,6 @@ __all__ = [
     "Jet",
     "lie_chain",
     "gradient",
-    "sin",
-    "cos",
-    "exp",
 ]
 
 
@@ -121,73 +122,8 @@ class Jet:
             out = out * self
         return out
 
-    def _reciprocal(self):
-        a = self.coeffs
-        r = [1.0 / a[0]]
-        for k in range(1, len(a)):
-            acc = a[1] * r[k - 1]
-            for i in range(2, k + 1):
-                acc = acc + a[i] * r[k - i]
-            r.append(-r[0] * acc)
-        return Jet(r)
-
-    def __truediv__(self, other):
-        if isinstance(other, Jet):
-            return self * other._reciprocal()
-        return Jet([a / other for a in self.coeffs])
-
-    def __rtruediv__(self, other):
-        return self._reciprocal() * other
-
     def __repr__(self):
         return f"Jet({self.coeffs!r})"
-
-
-# elementary functions ------------------------------------------------------
-#
-# sin/cos/exp use the standard convolution recurrences for Taylor series of
-# solutions of s' = c u', c' = -s u', e' = e u'.
-
-
-def _sin_cos(u: Jet):
-    n = u.order
-    uc = u.coeffs
-    s = [np.sin(uc[0]) if isinstance(uc[0], np.ndarray) else math.sin(uc[0])]
-    c = [np.cos(uc[0]) if isinstance(uc[0], np.ndarray) else math.cos(uc[0])]
-    for k in range(1, n + 1):
-        as_ = 1.0 * uc[k] * c[0] * k
-        ac = 1.0 * uc[k] * s[0] * k
-        for j in range(1, k):
-            as_ = as_ + j * uc[j] * c[k - j]
-            ac = ac + j * uc[j] * s[k - j]
-        s.append(as_ / k)
-        c.append(-ac / k)
-    return Jet(s), Jet(c)
-
-
-def sin(x):
-    if isinstance(x, Jet):
-        return _sin_cos(x)[0]
-    return np.sin(x)
-
-
-def cos(x):
-    if isinstance(x, Jet):
-        return _sin_cos(x)[1]
-    return np.cos(x)
-
-
-def exp(x):
-    if not isinstance(x, Jet):
-        return np.exp(x)
-    uc = x.coeffs
-    e = [np.exp(uc[0]) if isinstance(uc[0], np.ndarray) else math.exp(uc[0])]
-    for k in range(1, x.order + 1):
-        acc = 1.0 * uc[k] * e[0] * k
-        for j in range(1, k):
-            acc = acc + j * uc[j] * e[k - j]
-        e.append(acc / k)
-    return Jet(e)
 
 
 def _coeff(value, k: int):

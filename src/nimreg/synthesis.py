@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import analysis
 from .bench import Benchmark
 from .dynsys import ScenarioSets
-from .internal_model import (ImVerification, InternalModel, SaturatedDriver, TauChain,
+from .internal_model import (ImVerification, InternalModel, TauChain,
                              build_tau, saturate, verify_internal_model)
 
 __all__ = ["Synthesis", "synthesize"]
@@ -25,14 +25,13 @@ __all__ = ["Synthesis", "synthesize"]
 
 @dataclass(frozen=True, eq=False)
 class Synthesis:
-    """A benchmark's cloud, tau chain, saturated driver, internal model and
-    identity residuals, all from one scenario set."""
+    """A benchmark's cloud, tau chain, internal model (with its saturated
+    driver as im.driver) and identity residuals, all from one scenario set."""
 
     bench: Benchmark
     sets: ScenarioSets
     est: analysis.AttractorEstimate
     tau: TauChain
-    driver: SaturatedDriver
     im: InternalModel
     ver: ImVerification
 
@@ -52,5 +51,5 @@ def synthesize(bench: Benchmark, sets: ScenarioSets, *, d: int | None = None,
     driver = saturate(bench.f, *analysis._tau_image(tau, est))
     im = InternalModel(d=d, driver=driver)
     ver = verify_internal_model(im, tau, est)
-    return Synthesis(bench=bench, sets=sets, est=est, tau=tau, driver=driver,
+    return Synthesis(bench=bench, sets=sets, est=est, tau=tau,
                      im=im, ver=ver)

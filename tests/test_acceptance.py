@@ -193,14 +193,14 @@ def test_coordinate_change_equivalence(stacks):
     for name in BENCHMARKS:
         s = stacks(name)
         kappa, k_bar = (1.5, 2.0) if name == "static" else (2.0, 5.0)
-        gd = design_gains(s.im.d, kappa, lipschitz=s.driver.L)
+        gd = design_gains(s.im.d, kappa, lipschitz=s.im.driver.L)
         G = np.asarray(gd.G, dtype=float)
         cc = ControllerConfig(im=s.im, gd=gd, k=float(G[0]) + k_bar)
         rng = np.random.default_rng(11)
         z0 = sample_box(s.sets.z_box, 20, rng)
         e0 = sample_box(s.sets.e_interval, 20, rng)
         w0 = s.bench.w0_sampler(20, rng)
-        xi0 = sample_box(s.driver.s_box, 20, rng)
+        xi0 = sample_box(s.im.driver.s_box, 20, rng)
         x_xi = np.concatenate([z0, e0, w0, xi0])
         x_eta = np.concatenate([z0, e0, w0, xi0 - G[:, None] * e0])
         kw = dict(h=1e-3, dt_out=0.05)

@@ -127,7 +127,6 @@ def test_stationary_zero_dynamics_cloud_is_the_thinned_sources():
     resolution = 0.2
     est = estimate_attractor(plant, exo, sets, transient_time=1.0,
                              sample_time=0.5, resolution=resolution)
-    assert est.v_max == 0.0
     np.testing.assert_array_equal(est.points, _thin(est.sources, resolution))
     assert est.points.shape[1] < est.n_sources
 
@@ -195,7 +194,7 @@ def _exact_graph_distance(tau, est, states):
 
 def _cloud(points):
     return AttractorEstimate(points=points, sources=points[:, :1],
-                             transient_time=0.0, sample_time=0.0, h=1e-3,
+                             sample_time=0.0, h=1e-3,
                              dt_sample=1e-2)
 
 
@@ -322,18 +321,17 @@ def test_tau_image_box_strictly_contains_extent(stacks):
     s = stacks("harmonic")
     tau = build_tau(s.bench.plant, s.bench.exo, s.bench.d)
     box = tau_image_box(tau, s.est)
-    assert box is tau.image_box
     assert np.all(box[:, 0] < tau.image_extent[:, 0])
     assert np.all(box[:, 1] > tau.image_extent[:, 1])
     # unit-circle exosystem: extent approaches [-1, 1] on each axis
     assert np.allclose(tau.image_extent, [[-1, 1], [-1, 1]], atol=5e-3)
     # the synthesized driver saturates outside the same box
-    assert np.array_equal(s.driver.s_box, box)
+    assert np.array_equal(s.im.driver.s_box, box)
 
 
 def test_tau_image_box_floor_on_degenerate_image(stacks):
     s = stacks("static")
-    assert np.allclose(s.driver.s_box, [[-1e-3, 1e-3]], atol=1e-15)
+    assert np.allclose(s.im.driver.s_box, [[-1e-3, 1e-3]], atol=1e-15)
 
 
 # decay fitting -------------------------------------------------------------------
@@ -401,7 +399,7 @@ def _runs(syn, n_runs: int):
 
 def test_invariance_requires_matched_cloud(stacks):
     s = stacks("harmonic")
-    gd = design_gains(2, 2.0, lipschitz=s.driver.L)
+    gd = design_gains(2, 2.0, lipschitz=s.im.driver.L)
     with pytest.raises(PreconditionError):
         graph_invariance_experiment(s.bench.plant, s.bench.exo, s.im, s.tau,
                                     s.est, gd.G)
@@ -410,7 +408,7 @@ def test_invariance_requires_matched_cloud(stacks):
 def test_invariance_requires_long_enough_cloud(stacks, matched_clouds):
     s = stacks("harmonic")
     est = matched_clouds("harmonic")
-    gd = design_gains(2, 2.0, lipschitz=s.driver.L)
+    gd = design_gains(2, 2.0, lipschitz=s.im.driver.L)
     with pytest.raises(PreconditionError):
         graph_invariance_experiment(s.bench.plant, s.bench.exo, s.im, s.tau,
                                     est, gd.G, horizon=2 * est.sample_time)
@@ -418,7 +416,7 @@ def test_invariance_requires_long_enough_cloud(stacks, matched_clouds):
 
 def test_regulation_rejects_nonpositive_k_bar(stacks):
     s = stacks("static")
-    gd = design_gains(1, 1.5, lipschitz=s.driver.L)
+    gd = design_gains(1, 1.5, lipschitz=s.im.driver.L)
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]))  # k_bar = 0
     with pytest.raises(PreconditionError):
         regulation_experiment(s, cc, horizon=1.0)
@@ -432,7 +430,7 @@ def test_perturbation_ladder_rejects_degenerate_xi_box(stacks):
                              w0_sampler=s.bench.w0_sampler, n_sources=20,
                              transient_time=5.0, sample_time=20.0,
                              dt_sample=0.1, resolution=None)
-    gd = design_gains(1, 1.5, lipschitz=s.driver.L)
+    gd = design_gains(1, 1.5, lipschitz=s.im.driver.L)
     with pytest.raises(PreconditionError):
         perturbation_decay_experiment(s.bench.plant, s.bench.exo, s.im, s.tau,
                                       est, gd.G, horizon=15.0)
@@ -475,7 +473,7 @@ def test_perturbation_rate_independent_of_other_sizes(stacks, matched_clouds,
 
 def test_auto_feedback_gain_exhaustion(stacks, monkeypatch):
     s = stacks("static")
-    gd = design_gains(1, 1.5, lipschitz=s.driver.L)
+    gd = design_gains(1, 1.5, lipschitz=s.im.driver.L)
     # below the first candidate, k_bar = 1: the search has nothing to try
     monkeypatch.setattr(nimreg.analysis, "_K_BAR_MAX", 0.5)
     with pytest.raises(SearchError):
@@ -495,7 +493,7 @@ def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
         return traj
 
     monkeypatch.setattr(nimreg.sim, "integrate", recording)
-    gd = design_gains(2, 4.0, lipschitz=s.driver.L)
+    gd = design_gains(2, 4.0, lipschitz=s.im.driver.L)
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
     rep = regulation_experiment(_runs(s, 3), cc, horizon=5.0, fit_curves=False,
                                 method="dopri5")
@@ -556,7 +554,7 @@ def test_regulation_fits_distances_only_at_held_check_times(stacks, monkeypatch)
         return original(t, values, **fit)
 
     monkeypatch.setattr(nimreg.analysis, "_median_fit", recording)
-    gd = design_gains(2, 4.0, lipschitz=s.driver.L)
+    gd = design_gains(2, 4.0, lipschitz=s.im.driver.L)
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 8.0)
     rep = regulation_experiment(_runs(s, 3), cc, horizon=6.0, dt_out=0.1)
     traj = rep.trajectory
@@ -575,7 +573,7 @@ def test_experiments_take_the_xi_box_from_the_driver(stacks, matched_clouds,
     # synthesized one: the xi starts come from im.driver.s_box alone
     s = stacks("harmonic")
     fresh = build_tau(s.bench.plant, s.bench.exo, s.bench.d)
-    assert fresh.image_box is None
+    assert fresh.image_extent is None
     plant, exo, w0 = s.bench.plant, s.bench.exo, s.bench.w0_sampler
     gd = kappa_stars("harmonic").design
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
@@ -619,5 +617,5 @@ def test_regulation_vdp_baseline_reports_no_rate(stacks):
 
 def test_tracking_error_decay_harmonic(stacks):
     s = stacks("harmonic")
-    gd = design_gains(2, 8.0, lipschitz=s.driver.L)
+    gd = design_gains(2, 8.0, lipschitz=s.im.driver.L)
     assert tracking_error_decay(s, gd.G).alpha > 0.5

@@ -4,6 +4,8 @@ Cycle period and amplitude oracles are the standard high-accuracy values for
 mu = 1: T = 6.6632868593231, max|x| = 2.0086198608748.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,8 @@ def test_flags():
 
 def test_vdp_cycle_period_and_amplitude():
     cycle = reference_cycle(1.0)
-    assert abs(cycle["period"] - VDP_PERIOD) < 1e-4
-    assert abs(cycle["amplitude"] - VDP_AMPLITUDE) < 1e-4
+    assert abs(cycle.period - VDP_PERIOD) < 1e-4
+    assert abs(np.max(np.abs(cycle.states[:, 0])) - VDP_AMPLITUDE) < 1e-4
 
 
 def test_vdp_cycle_cached_per_mu():
@@ -44,16 +46,24 @@ def test_vdp_cycle_cached_per_mu():
     assert reference_cycle(1.5) is not reference_cycle(1.0)
 
 
+def test_vdp_cycle_record_is_frozen():
+    # the cached record is shared by every caller and sets every later draw
+    cycle = reference_cycle(1.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cycle.period = 1.0
+    assert abs(reference_cycle(1.0).period - VDP_PERIOD) < 1e-4
+
+
 def test_vdp_cycle_arrays_are_read_only():
-    # the cached dict is shared by every caller
+    # the cached record is shared by every caller
     cycle = reference_cycle(1.0)
     for key in ("t", "states", "f"):
         with pytest.raises(ValueError):
-            cycle[key][0] = 0.0
+            getattr(cycle, key)[0] = 0.0
 
 
 def test_vdp_mu_changes_period():
-    assert reference_cycle(1.5)["period"] - reference_cycle(1.0)["period"] > 0.1
+    assert reference_cycle(1.5).period - reference_cycle(1.0).period > 0.1
 
 
 def test_vdp_mu_threads_through():
@@ -67,7 +77,7 @@ def test_vdp_sampler_points_lie_on_cycle():
     rng = np.random.default_rng(3)
     w0 = bench.w0_sampler(8, rng)
     assert w0.shape == (2, 8)
-    period = reference_cycle(1.0)["period"]
+    period = reference_cycle(1.0).period
     rhs = as_array_rhs(bench.exo.s)
     for j in range(8):
         traj = dopri5(rhs, w0[:, j], (0.0, period), rtol=1e-11, atol=1e-13,
@@ -103,6 +113,6 @@ def test_static_sampler_and_sets():
 def test_vdp_w_box_contains_cycle():
     bench = get_benchmark("vdp")
     cycle = reference_cycle(1.0)
-    states = cycle["states"]
+    states = cycle.states
     assert np.all(states.min(axis=0) > bench.exo.w_box[:, 0])
     assert np.all(states.max(axis=0) < bench.exo.w_box[:, 1])

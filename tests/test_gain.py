@@ -152,7 +152,7 @@ def test_find_kappa_star_accepts_explicit_xi_box(stacks):
     # the box the internal model's driver saturates outside
     s = stacks("static")
     tau = build_tau(s.bench.plant, s.bench.exo, s.bench.d)
-    assert tau.image_box is None
+    assert tau.image_extent is None
     search = find_kappa_star(dataclasses.replace(s, tau=tau))
     assert search.rate >= 0.3
 

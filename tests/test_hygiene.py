@@ -1,11 +1,14 @@
-"""Every import in the package, the tests and the scripts is used, and every
-private top-level name of the package is read somewhere.
+"""Every import in the package, the tests and the scripts is used, every
+private top-level name of the package is read somewhere, and so is every
+field of a package dataclass.
 
 A name bound by an import counts as used when the module reads it anywhere,
 names it in a string annotation, or lists it in __all__.  A private name
 (one leading underscore) bound at the top level of a package module counts
 as read when a file in the package, the tests or the scripts loads it as a
-name or an attribute, or imports it.
+name or an attribute, or imports it.  A dataclass field counts as read when
+a file in the package, the tests, the scripts or perfbench loads it as an
+attribute.
 """
 
 import ast
@@ -14,6 +17,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted(p for d in ("src/nimreg", "tests", "scripts")
                for p in (ROOT / d).glob("*.py"))
+# perfbench reads result fields of the package too
+READERS = FILES + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _string_annotation_names(annotation):
@@ -125,3 +130,58 @@ def test_no_unread_private_names():
              for line, name in private_definitions(path.read_text())
              if name not in read]
     assert not found, "private names nothing reads:\n" + "\n".join(found)
+
+
+def _is_dataclass(decorator) -> bool:
+    if isinstance(decorator, ast.Call):
+        decorator = decorator.func
+    return (isinstance(decorator, ast.Name) and decorator.id == "dataclass"
+            or isinstance(decorator, ast.Attribute) and decorator.attr == "dataclass")
+
+
+def dataclass_fields(source: str) -> list:
+    """(line, class, field) of every field of every dataclass in the module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(map(_is_dataclass, node.decorator_list)):
+            found += [(stmt.lineno, node.name, stmt.target.id) for stmt in node.body
+                      if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)]
+    return found
+
+
+def attributes_read(source: str) -> set:
+    """Attribute names the module loads."""
+    return {node.attr for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+
+
+def test_field_checker_counts_attribute_loads_only():
+    package = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    read: int\n"
+        "    stored: int\n"
+        "    named: int = 0\n"
+        "    def total(self):\n"
+        "        return self.read\n"
+        "@dataclasses.dataclass\n"
+        "class B:\n"
+        "    kw: int\n"
+        "class Plain:\n"
+        "    attr: int\n"
+    )
+    other = "a.stored = 1\nnamed = 2\nB(kw=3)\nprint(a.read)\n"
+    read = attributes_read(package) | attributes_read(other)
+    assert [(line, cls, name) for line, cls, name in dataclass_fields(package)
+            if name not in read] == [(6, "A", "stored"), (7, "A", "named"), (12, "B", "kw")]
+
+
+def test_no_unread_dataclass_fields():
+    read = set().union(*(attributes_read(path.read_text()) for path in READERS))
+    found = [f"{path.relative_to(ROOT)}:{line}: {cls}.{name}"
+             for path in FILES if path.parent.name == "nimreg"
+             for line, cls, name in dataclass_fields(path.read_text())
+             if name not in read]
+    assert not found, "dataclass fields nothing reads:\n" + "\n".join(found)

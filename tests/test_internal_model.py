@@ -67,8 +67,8 @@ def test_saturate_constants_harmonic(stacks):
     # tau image on the unit circle is [-1, 1]^2, inflated to [-1.25, 1.25];
     # the driver eta -> eta_1 has sup 1.25 and gradient norm 1 on that box
     s = stacks("harmonic")
-    assert abs(s.driver.C - 1.25) < 1e-9
-    assert abs(s.driver.L - 1.0) < 1e-12
+    assert abs(s.im.driver.C - 1.25) < 1e-9
+    assert abs(s.im.driver.L - 1.0) < 1e-12
 
 
 def test_saturate_clamps_outside_box():

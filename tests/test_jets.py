@@ -15,9 +15,10 @@ from hypothesis import strategies as st
 from _oracles import fd_along_flow
 
 from nimreg import get_benchmark
-from nimreg.dynsys import zero_dynamics_field
+from nimreg.dynsys import ExosystemSpec, PlantSpec, zero_dynamics_field
 from nimreg.errors import CapabilityError
-from nimreg.jets import Jet, cos, exp, gradient, lie_chain, sin
+from nimreg.internal_model import build_tau, saturate
+from nimreg.jets import Jet, gradient, lie_chain
 
 
 # jet arithmetic ---------------------------------------------------------------
@@ -31,43 +32,55 @@ def test_variable_and_constant_seeds():
 
 
 def test_product_matches_series_convolution():
-    # coefficients of sin and exp about x0 are known; their product jet must
-    # equal the truncated Cauchy convolution computed with numpy directly
-    x0, order = 0.7, 6
-    x = Jet.variable(x0, order)
-    prod = sin(x) * exp(x)
-    sin_c = []
-    for k in range(order + 1):
-        cyc = [math.sin(x0), math.cos(x0), -math.sin(x0), -math.cos(x0)][k % 4]
-        sin_c.append(cyc / math.factorial(k))
-    exp_c = [math.exp(x0) / math.factorial(k) for k in range(order + 1)]
-    conv = np.convolve(sin_c, exp_c)[: order + 1]
-    assert np.allclose(prod.coeffs, conv, rtol=0, atol=1e-14)
+    # the product jet is the truncated Cauchy product of the coefficient
+    # lists; dyadic coefficients keep every product and sum exact
+    a = [0.75, -1.5, 0.5, 2.0, -0.25, 0.125, 1.5]
+    b = [1.25, 0.5, -0.75, 0.25, 3.0, -2.0, 0.625]
+    assert np.array_equal((Jet(a) * Jet(b)).coeffs, np.convolve(a, b)[:7])
+    assert np.array_equal((2.0 * Jet(a)).coeffs, 2.0 * np.array(a))
 
 
-def test_sin_cos_pythagorean_identity():
-    x = Jet.variable(1.3, 5)
-    s, c = sin(x), cos(x)
-    total = s * s + c * c
-    assert abs(total.coeffs[0] - 1.0) < 1e-14
-    assert np.max(np.abs(total.coeffs[1:])) < 1e-14
-
-
-def test_division_round_trip_and_pow():
+def test_pow_is_repeated_product():
     x = Jet.variable(0.4, 4)
-    y = (x ** 3) / x / x
-    assert np.allclose(y.coeffs, x.coeffs, atol=1e-14)
-    r = 1.0 / (1.0 - x)
-    # geometric series about 0.4: coefficients (1-x0)^-(k+1)
-    expect = [(1.0 - 0.4) ** -(k + 1) for k in range(5)]
-    assert np.allclose(r.coeffs, expect, atol=1e-12)
+    assert (x ** 3).coeffs == (x * x * x).coeffs
+    # (0.4 + t)^3 expanded about t = 0
+    assert np.allclose((x ** 3).coeffs, [0.4 ** 3, 3 * 0.4 ** 2, 3 * 0.4, 1.0, 0.0],
+                       atol=1e-14)
+    assert (x ** 0).coeffs == [1.0, 0.0, 0.0, 0.0, 0.0]
+    for bad in (-1, 0.5):
+        with pytest.raises(CapabilityError):
+            x ** bad
 
 
 def test_derivative_value_scaling():
-    x = Jet.variable(0.2, 4)
-    j = exp(x)
+    # k! coeffs[k] is the k-th derivative: of x^4 at 0.2, 4!/(4-k)! 0.2^(4-k)
+    x0 = 0.2
+    j = Jet.variable(x0, 5) ** 4
     for k in range(5):
-        assert abs(math.factorial(k) * j.coeffs[k] - math.exp(0.2)) < 1e-13
+        expect = math.factorial(4) / math.factorial(4 - k) * x0 ** (4 - k)
+        assert abs(math.factorial(k) * j.coeffs[k] - expect) < 1e-13
+    assert j.coeffs[5] == 0.0
+
+
+def test_division_is_not_a_jet_operation():
+    # tau of a plant whose output divides cannot be built from jets; a
+    # driver that divides gets its Lipschitz constant from central differences
+    exo = ExosystemSpec(r=1, s=lambda w: (-w[0],), w_box=[[-1.0, 1.0]])
+    plant = PlantSpec(n=1, f0=lambda z, w: (-z[0] + w[0],),
+                      f1=lambda z, e, w: (0.1,),
+                      q=lambda z, e, w: w[0] / 2.0 + e * z[0])
+    tau = build_tau(plant, exo, 2)
+    with pytest.raises(CapabilityError):
+        tau(np.array([0.3, 0.5]))
+
+    def halve(eta):
+        return eta[0] / 2.0
+
+    with pytest.raises(CapabilityError):
+        gradient(halve, [0.3])
+    driver = saturate(halve, [[-1.0, 1.0]])
+    assert abs(driver.L - 0.5) < 1e-9
+    assert abs(driver.C - 0.5) < 1e-12
 
 
 # lie chains -------------------------------------------------------------------

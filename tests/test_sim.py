@@ -112,3 +112,26 @@ def test_observer_cascade_zw_block_is_autonomous():
     bare = rk4_fixed(as_array_rhs(zero_dynamics_field(bench.plant, bench.exo)),
                      zw0, (0.0, 2.0), h=1e-3, dt_out=0.1)
     assert np.array_equal(casc.states[:, :3], bare.states)
+
+
+@pytest.mark.parametrize("name", ["harmonic", "vdp"])
+def test_rk4_batch_columns_are_independent(stacks, name):
+    # a column of a closed-loop batch is that column run alone, bit for bit,
+    # as an (m,) or an (m, 1) state
+    s = stacks(name)
+    gd = design_gains(s.im.d, 4.0, lipschitz=s.im.driver.L)
+    cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
+    rng = np.random.default_rng(7)
+    z0, w0, xi0, e0 = s.sets.sample(s.bench.exo, rng, 4,
+                                    w0_sampler=s.bench.w0_sampler,
+                                    xi_box=s.im.driver.s_box)
+    x0 = np.concatenate([z0, e0[None, :], w0, xi0], axis=0)
+
+    def run(x):
+        return run_closed_loop(s.bench.plant, s.bench.exo, cc, x, (0.0, 0.5),
+                               h=1e-3).states
+
+    batch = run(x0)
+    for j in range(x0.shape[1]):
+        assert np.array_equal(run(x0[:, j]), batch[:, :, j]), j
+        assert np.array_equal(run(x0[:, j:j + 1]), batch[:, :, j:j + 1]), j
