@@ -63,11 +63,11 @@ def main() -> int:
         for label, rep in (("nonlinear", nl), ("linear", lin)):
             t_bar = f"{rep.t_bar:.2f}" if rep.t_bar is not None else "none"
             print(f"{name:10s} {label:10s} {rep.tail_sup_e:12.3e} "
-                  f"{t_bar:>8s} {str(rep.verdicts['asymptotic']):>10s}")
+                  f"{t_bar:>8s} {str(rep.asymptotic):>10s}")
         print(f"{'':10s} linear fit coefficients: {coef}")
         bench = get_benchmark(name)
-        ok &= nl.verdicts["asymptotic"]
-        ok &= lin.verdicts["asymptotic"] == bench.linear_baseline_pass
+        ok &= nl.asymptotic
+        ok &= lin.asymptotic == bench.linear_baseline_pass
     print("expected pattern reproduced" if ok else "UNEXPECTED verdict pattern")
     return 0 if ok else 1
 

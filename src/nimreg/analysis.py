@@ -110,6 +110,10 @@ def _thin(points: np.ndarray, resolution: float) -> np.ndarray:
     return points[:, np.sort(idx)]
 
 
+# dense Hermite-fill points per chunk
+_FILL_POINTS = 2e6
+
+
 def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
                        *, w0_sampler: Callable | None = None,
                        n_sources: int | None = None,
@@ -161,9 +165,11 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     dt = traj.t[1] - traj.t[0]
     n_sub = max(1, math.ceil(2.0 * v_max * dt / resolution))
     thetas = np.arange(n_sub) / n_sub
-    kept = []
-    # chunk the Hermite fill so the dense samples never exist all at once
-    chunk = max(1, int(2e6 // n_sub))
+    cloud = np.empty((m, 0))
+    # chunk the Hermite fill so the dense samples never exist all at once;
+    # merging each thinned chunk into the running cloud keeps every cell's
+    # first point in fill order, as one thinning of the whole fill would
+    chunk = max(1, int(_FILL_POINTS // n_sub))
     for s in range(n_sources):
         for lo in range(0, n_ret - 1, chunk):
             hi = min(lo + chunk, n_ret - 1)
@@ -171,9 +177,9 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
             # (m, intervals, n_sub): every interval at every sub-position
             dense = _hermite(y[:, s, a, None], y[:, s, b, None],
                              f[:, s, a, None], f[:, s, b, None], dt, thetas)
-            kept.append(_thin(dense.reshape(m, -1), resolution))
-    return AttractorEstimate(points=_thin(np.concatenate(kept, axis=1), resolution),
-                             resolution=resolution, **common)
+            cloud = _thin(np.concatenate(
+                [cloud, _thin(dense.reshape(m, -1), resolution)], axis=1), resolution)
+    return AttractorEstimate(points=cloud, resolution=resolution, **common)
 
 
 # candidate pairs evaluated at once: keeps the work in cache
@@ -296,7 +302,7 @@ def graph_distance(tau: TauChain, est: AttractorEstimate, states):
 # decay fitting ----------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class DecayFit:
     """Log-linear fit magnitude(t) ~ M * exp(-alpha t) * magnitude(0)."""
 
@@ -440,7 +446,7 @@ def tracking_error_decay(syn, G) -> DecayFit:
 # experiments -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GraphReport:
     max_distance: float
     terminal_distance: float
@@ -524,7 +530,7 @@ _SPREAD_FACTOR = 2.0
 _PERTURB_T_MIN = 1.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class PerturbationReport:
     rates: list
 
@@ -580,25 +586,32 @@ def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
 # regulation --------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RunReport:
-    """Aggregated regulation metrics over a sampled scenario set."""
+    """Aggregated regulation metrics over a sampled scenario set, for the
+    controller cc that ran.  The integrator's settings and step counts are
+    in trajectory.meta; error is the integration failure's message, with
+    the partial trajectory, or None.  driver_coefficients is the linear
+    baseline's fitted driver, None for any other run."""
 
-    gains: dict
-    eps: float
-    eps_asym: float
+    cc: ControllerConfig
     t_bar: float | None
     tail_sup_e: float
+    asymptotic: bool
     fit_e: DecayFit | None
     fit_chi: DecayFit | None
     fit_dist: DecayFit | None
-    verdicts: dict
-    integrator: dict
-    trajectory: Trajectory | None = None
+    trajectory: Trajectory | None
+    error: str | None = None
+    driver_coefficients: np.ndarray | None = None
+
+    @property
+    def practical(self) -> bool:
+        return self.t_bar is not None
 
     @property
     def passed(self) -> bool:
-        return all(self.verdicts.values())
+        return self.practical and self.asymptotic
 
 
 def _settle_time(t: np.ndarray, abs_e: np.ndarray, eps: float):
@@ -650,20 +663,14 @@ def regulation_experiment(syn, cc: ControllerConfig, *, eps: float = 1e-2,
                                   w0_sampler=bench.w0_sampler,
                                   xi_box=cc.im.driver.s_box)
     x0 = np.concatenate([z0, e0[None, :], w0, xi0], axis=0)
-    gains = {"kappa": float(cc.gd.kappa), "k": float(cc.k), "k_bar": float(cc.k_bar),
-             "C": float(cc.im.driver.C), "L": float(cc.im.driver.L),
-             "kappa_lb": float(cc.gd.kappa_lb)}
     step = {"h": h} if method == "rk4" else {"rtol": rtol, "atol": atol}
     try:
         traj = run_closed_loop(bench.plant, bench.exo, cc, x0, (0.0, horizon),
                                method=method, dt_out=dt_out, guard=guard, **step)
     except IntegrationError as exc:
-        return RunReport(gains=gains, eps=eps, eps_asym=eps_asym, t_bar=None,
-                         tail_sup_e=np.inf, fit_e=None, fit_chi=None, fit_dist=None,
-                         verdicts={"practical": False, "asymptotic": False},
-                         integrator={"method": method, **step,
-                                     "error": str(exc), "t_fail": exc.t_fail},
-                         trajectory=exc.partial)
+        return RunReport(cc=cc, t_bar=None, tail_sup_e=np.inf, asymptotic=False,
+                         fit_e=None, fit_chi=None, fit_dist=None,
+                         trajectory=exc.partial, error=str(exc))
 
     layout = traj.meta["layout"]
     abs_e = np.abs(traj.states[:, layout.e, :])
@@ -678,14 +685,9 @@ def regulation_experiment(syn, cc: ControllerConfig, *, eps: float = 1e-2,
         rows, times = _check_rows(traj.t, 0.05)
         dvals = _distance_curve(tau, syn.est, traj, rows)
         fit_dist = _floored_fit(times, dvals, _coverage_floor(syn.est))
-    verdicts = {"practical": t_bar is not None, "asymptotic": tail_sup < eps_asym}
-    return RunReport(gains=gains, eps=eps, eps_asym=eps_asym, t_bar=t_bar,
-                     tail_sup_e=tail_sup, fit_e=fit_e, fit_chi=fit_chi,
-                     fit_dist=fit_dist, verdicts=verdicts,
-                     integrator={"method": method, **step, "dt_out": dt_out,
-                                 "n_steps": traj.meta.get("n_steps", 0),
-                                 "n_rejected": traj.meta.get("n_rejected", 0)},
-                     trajectory=traj)
+    return RunReport(cc=cc, t_bar=t_bar, tail_sup_e=tail_sup,
+                     asymptotic=tail_sup < eps_asym, fit_e=fit_e,
+                     fit_chi=fit_chi, fit_dist=fit_dist, trajectory=traj)
 
 
 # linear baseline -----------------------------------------------------------------
@@ -701,11 +703,11 @@ def fit_linear_driver(tau: TauChain, est: AttractorEstimate) -> np.ndarray:
     return coef
 
 
-def linear_baseline_experiment(syn, gd=None, k: float | None = None, *,
-                               eps: float = 1e-2, eps_asym: float = 1e-4,
-                               horizon: float = 100.0, h: float = 1e-3) -> RunReport:
+def linear_baseline_experiment(syn, gd=None, k: float | None = None,
+                               **run) -> RunReport:
     """Swap syn's driver for its best linear fit over syn.est and rerun
-    regulation.
+    regulation; the keywords (eps, horizon, method, dt_out, ...) go to
+    regulation_experiment unchanged and default as there.
 
     Defaults to mild comparator gains (kappa 2, k_bar 5).  Feedback
     attenuation of a feedforward mismatch grows roughly like kappa^2 * k_bar,
@@ -730,10 +732,7 @@ def linear_baseline_experiment(syn, gd=None, k: float | None = None, *,
     driver = saturate(f_lin, *_tau_image(tau, est))
     im_lin = InternalModel(d=tau.d, driver=driver)
     cc = ControllerConfig(im=im_lin, gd=gd, k=k)
-    report = regulation_experiment(syn, cc, eps=eps, eps_asym=eps_asym,
-                                   horizon=horizon, h=h)
-    report.gains["driver_coefficients"] = np.array2string(coef, separator=",")
-    return report
+    return replace(regulation_experiment(syn, cc, **run), driver_coefficients=coef)
 
 
 # gain auto-selection ---------------------------------------------------------------
@@ -756,7 +755,7 @@ def auto_feedback_gain(syn, gd, *, eps: float = 1e-2) -> float:
     gamma_g = float(np.asarray(gd.G).ravel()[0])
     probe = replace(syn, sets=replace(syn.sets, n_samples=_N_PROBE,
                                       seed=syn.sets.seed + 13))
-    history = []
+    tried = []
     k_bar = 1.0
     while k_bar <= _K_BAR_MAX:
         k = gamma_g + k_bar
@@ -765,9 +764,10 @@ def auto_feedback_gain(syn, gd, *, eps: float = 1e-2) -> float:
                                     fit_curves=False, method="dopri5")
         ok = (rep.t_bar is not None and rep.t_bar <= 0.75 * _T_TARGET
               and rep.tail_sup_e < eps)
-        history.append((k_bar, rep.t_bar, rep.tail_sup_e))
         if ok:
             return k
+        tried.append(f"k_bar={k_bar:g} (t_bar={rep.t_bar}, "
+                     f"tail_sup_e={rep.tail_sup_e:.3e})")
         k_bar *= 2.0
     raise SearchError(f"no feedback gain with k_bar <= {_K_BAR_MAX:g} met the "
-                      f"settling target {_T_TARGET:g}", history=history)
+                      f"settling target {_T_TARGET:g}; tried {', '.join(tried) or 'none'}")

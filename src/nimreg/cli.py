@@ -33,7 +33,7 @@ from .synthesis import Synthesis, synthesize
 _AUTO_KEYS = {"d", "poles", "kappa", "k", "mu"}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     benchmark: str = "harmonic"
     d: int | None = None
@@ -126,7 +126,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
 # pipeline ------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Pipeline:
     cfg: RunConfig
     syn: Synthesis
@@ -185,28 +185,26 @@ def write_report(path: Path, items: dict) -> None:
 
 
 def write_trajectory_csv(path: Path, pipe: Pipeline, report) -> None:
-    """The first run of the closed loop in the canonical column layout.
+    """The first run of the closed loop in the canonical column layout, with
+    its |xi - tau(z, w)| and graph distance as the analysis computes them.
 
-    A run that failed before producing a laid-out trajectory writes no CSV,
-    and a CSV left at path by an earlier run is removed, so it cannot pass
-    for this run's output."""
-    traj = report.trajectory
-    if traj is None or traj.meta.get("layout") is None:
+    A failed run writes no CSV, and a CSV left at path by an earlier run is
+    removed, so it cannot pass for this run's output."""
+    if report.error is not None:
         path.unlink(missing_ok=True)
         return
+    traj = report.trajectory
     layout = traj.meta["layout"]
     states = traj.states[:, :, 0]
+    run0 = replace(traj, states=states)
     e = states[:, layout.e]
-    v = -report.gains["k"] * e
+    v = -report.cc.k * e
     u = states[:, layout.xi.start] + v
     z = states[:, layout.z]
     w = states[:, layout.w]
     xi = states[:, layout.xi]
-    tau = pipe.syn.tau
-    tau_vals = tau(np.concatenate([z, w], axis=1).T).T
-    chi = np.sqrt(np.sum((xi - tau_vals) ** 2, axis=1))
-    queries = np.concatenate([z, w, xi], axis=1).T
-    gdist = analysis.graph_distance(tau, pipe.syn.est, queries)
+    chi = analysis._chi_norms(pipe.syn.tau, run0)
+    gdist = analysis._distance_curve(pipe.syn.tau, pipe.syn.est, run0)[:, 0]
     header = (["t", "e", "u", "v"]
               + [f"z_{i + 1}" for i in range(z.shape[1])]
               + [f"w_{i + 1}" for i in range(w.shape[1])]
@@ -223,25 +221,25 @@ def write_trajectory_csv(path: Path, pipe: Pipeline, report) -> None:
 
 
 def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
-    cfg = pipe.cfg
+    cfg, cc = pipe.cfg, report.cc
     items = {
         "benchmark": cfg.benchmark,
         "experiment": experiment,
         "d": pipe.syn.im.d,
         "n_samples": cfg.n_samples,
         "seed": cfg.seed,
-        "method": report.integrator.get("method", cfg.method),
+        "method": cfg.method,
         "h": cfg.h,
         "dt_out": cfg.dt_out,
         "horizon": cfg.horizon,
-        "eps": report.eps,
-        "eps_asym": report.eps_asym,
-        "kappa": report.gains.get("kappa"),
-        "kappa_lb": report.gains.get("kappa_lb"),
-        "k": report.gains.get("k"),
-        "k_bar": report.gains.get("k_bar"),
-        "C": report.gains.get("C"),
-        "L": report.gains.get("L"),
+        "eps": cfg.eps,
+        "eps_asym": cfg.eps_asym,
+        "kappa": float(cc.gd.kappa),
+        "kappa_lb": float(cc.gd.kappa_lb),
+        "k": float(cc.k),
+        "k_bar": float(cc.k_bar),
+        "C": float(cc.im.driver.C),
+        "L": float(cc.im.driver.L),
         "residual_flow": pipe.syn.ver.residual_flow,
         "residual_output": pipe.syn.ver.residual_output,
         "tail_sup_e": report.tail_sup_e,
@@ -253,14 +251,15 @@ def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
         "alpha_chi_residual": report.fit_chi.residual if report.fit_chi else None,
         "alpha_dist": report.fit_dist.alpha if report.fit_dist else None,
         "alpha_dist_residual": report.fit_dist.residual if report.fit_dist else None,
-        "verdict_practical": report.verdicts.get("practical"),
-        "verdict_asymptotic": report.verdicts.get("asymptotic"),
+        "verdict_practical": report.practical,
+        "verdict_asymptotic": report.asymptotic,
         "passed": report.passed,
     }
-    if "error" in report.integrator:
-        items["integration_error"] = report.integrator["error"]
-    if "driver_coefficients" in report.gains:
-        items["driver_coefficients"] = report.gains["driver_coefficients"]
+    if report.error is not None:
+        items["integration_error"] = report.error
+    if report.driver_coefficients is not None:
+        items["driver_coefficients"] = np.array2string(report.driver_coefficients,
+                                                       separator=",")
     if pipe.kappa_search is not None:
         items["kappa_search_rate"] = pipe.kappa_search.rate
     return items
@@ -271,14 +270,15 @@ def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
 
 def _run_experiment(pipe: Pipeline):
     cfg, syn = pipe.cfg, pipe.syn
-    common = dict(eps=cfg.eps, eps_asym=cfg.eps_asym, horizon=cfg.horizon, h=cfg.h)
+    # the run settings both experiments take, so a report's are what ran
+    run = dict(eps=cfg.eps, eps_asym=cfg.eps_asym, horizon=cfg.horizon, h=cfg.h,
+               dt_out=cfg.dt_out, method=cfg.method, rtol=cfg.rtol,
+               atol=cfg.atol, guard=cfg.guard)
     if cfg.baseline:
         return analysis.linear_baseline_experiment(
-            syn, pipe.design, pipe.k, **common), "linear-baseline"
+            syn, pipe.design, pipe.k, **run), "linear-baseline"
     cc = ControllerConfig(im=syn.im, gd=pipe.design, k=pipe.k)
-    return analysis.regulation_experiment(
-        syn, cc, dt_out=cfg.dt_out, method=cfg.method, rtol=cfg.rtol,
-        atol=cfg.atol, guard=cfg.guard, **common), "regulation"
+    return analysis.regulation_experiment(syn, cc, **run), "regulation"
 
 
 def cmd_run(args) -> int:

@@ -22,14 +22,8 @@ class FitError(NimregError):
 
 
 class SearchError(NimregError):
-    """A gain search exhausted its budget without meeting the target.
-
-    Carries the search history so the caller can report evidence.
-    """
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
+    """A gain search exhausted its budget without meeting the target; the
+    message lists every value it tried."""
 
 
 class IntegrationError(NimregError):

@@ -191,7 +191,7 @@ def find_kappa_star(syn, *, poles=None) -> KappaSearch:
                                history=history,
                                design=_design(poles, G0, P, kappa, bound))
         kappa *= 2.0
+    tried = ", ".join(f"kappa={kappa:g} (rate {alpha})" for kappa, alpha in history)
     raise SearchError(
         f"no kappa <= {_KAPPA_MAX:g} reached decay rate {_ALPHA_MIN:g} "
-        f"(analytic bound was {bound:g})",
-        history=history)
+        f"(analytic bound was {bound:g}); tried {tried or 'none'}")

@@ -26,13 +26,13 @@ DEFAULT_GUARD = 1e9
 _MAX_STEPS = 5_000_000  # attempted steps per dopri5 call
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Time grid plus the states sampled on it.
 
     states has shape (n_pts, m) for a single run or (n_pts, m, batch) for a
-    batch.  meta records the method and step statistics; sim attaches the
-    state layout under meta["layout"].
+    batch.  meta records the method and step statistics; sim's runs return
+    a copy that also holds the state layout under meta["layout"].
     """
 
     t: np.ndarray

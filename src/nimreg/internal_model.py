@@ -187,7 +187,7 @@ _VERIFY_TOL = 1e-5
 _VERIFY_TRAJECTORIES = 10
 
 
-@dataclass
+@dataclass(frozen=True)
 class ImVerification:
     """Residuals of the two defining identities, measured numerically.
 

@@ -58,15 +58,6 @@ class Jet:
     def constant(cls, value, order: int) -> "Jet":
         return cls([value] + [_zero_like(value) for _ in range(order)])
 
-    @classmethod
-    def variable(cls, value, order: int) -> "Jet":
-        """Jet of the identity signal t -> value + t, used for directional
-        derivatives."""
-        c = [value] + [_zero_like(value) for _ in range(order)]
-        if order >= 1:
-            c[1] = c[1] + 1.0
-        return cls(c)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -167,27 +158,13 @@ def lie_chain(g, field, count: int, x0) -> np.ndarray:
 
 
 def gradient(fn, point) -> np.ndarray:
-    """Gradient of a scalar function of several components via first-order jets.
+    """Gradient of a scalar function of several components: row i is the
+    first Lie derivative of fn along the constant unit field e_i.
 
     ``point`` is a sequence of m scalar-like components (floats or equal-length
     arrays); the result has shape (m,) or (m, batch).
     """
-    comps = list(point)
-    m = len(comps)
-    rows = []
-    for i in range(m):
-        seeded = [
-            Jet.variable(c, 1) if j == i else Jet.constant(c, 1)
-            for j, c in enumerate(comps)
-        ]
-        try:
-            val = fn(seeded)
-        except (TypeError, AttributeError) as exc:
-            raise CapabilityError(f"function is not jet-evaluable: {exc}") from exc
-        rows.append(_coeff(val, 1))
-    shape = np.broadcast_shapes(*[np.shape(c) for c in comps],
-                                *[np.shape(r) for r in rows])
-    out = np.empty((m,) + shape)
-    for i, r in enumerate(rows):
-        out[i] = r
-    return out
+    x0 = np.broadcast_arrays(*point)
+    m = len(x0)
+    units = [tuple(float(j == i) for j in range(m)) for i in range(m)]
+    return np.stack([lie_chain(fn, lambda x, e=e: e, 2, x0)[1] for e in units])

@@ -19,7 +19,7 @@ to integrate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -147,8 +147,7 @@ def _run(field, layout, x0, t_span, method, **kwargs) -> Trajectory:
     if x0.shape[0] != layout.m:
         raise ConfigError(f"initial state has {x0.shape[0]} slots, expected {layout.m}")
     traj = integrate(as_array_rhs(field), x0, t_span, method=method, **kwargs)
-    traj.meta["layout"] = layout
-    return traj
+    return replace(traj, meta={**traj.meta, "layout": layout})
 
 
 def run_closed_loop(plant, exo, cc, x0, t_span, method: str = "rk4",

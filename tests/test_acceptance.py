@@ -153,7 +153,7 @@ def vdp_regulation_run(stacks, kappa_stars, vdp_auto_k):
 def test_practical_regulation_auto_gains(vdp_regulation_run):
     rep, elapsed, k = vdp_regulation_run
     ok = rep.t_bar is not None and rep.t_bar <= 30.0
-    ok &= bool(rep.verdicts.get("practical"))
+    ok &= rep.practical
     detail = (f"vdp k={k:.4g} worst settle t_bar="
               f"{rep.t_bar if rep.t_bar is not None else 'never'} <= 30")
     _finish("06 practical regulation, auto gains", ok, detail,

@@ -84,6 +84,31 @@ def test_thinned_cloud_covers_raw_samples():
     assert float(np.max(gaps)) <= resolution * np.sqrt(3.0) + 1e-12
 
 
+def test_chunked_cloud_equals_the_one_chunk_cloud(monkeypatch):
+    # each thinned chunk merges into the running cloud, which keeps every
+    # cell's first point in fill order: many chunks per source build the
+    # one-chunk cloud exactly
+    bench = get_benchmark("harmonic")
+    sets = bench.scenario_sets(n_samples=3)
+    kw = dict(w0_sampler=bench.w0_sampler, transient_time=5.0, sample_time=3.0,
+              resolution=2e-3)
+    fills = []
+    original = nimreg.analysis._hermite
+
+    def counting(*args):
+        fills.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(nimreg.analysis, "_hermite", counting)
+    monkeypatch.setattr(nimreg.analysis, "_FILL_POINTS", 1e12)
+    whole = estimate_attractor(bench.plant, bench.exo, sets, **kw)
+    assert len(fills) == 3
+    monkeypatch.setattr(nimreg.analysis, "_FILL_POINTS", 200)
+    chunked = estimate_attractor(bench.plant, bench.exo, sets, **kw)
+    assert len(fills) > 3 + 2 * 3
+    assert np.array_equal(whole.points, chunked.points)
+
+
 def _thin_by_rows(points, resolution):
     """Thinning by np.unique over whole key rows: the reference for the
     folded-key path."""
@@ -476,8 +501,17 @@ def test_auto_feedback_gain_exhaustion(stacks, monkeypatch):
     gd = design_gains(1, 1.5, lipschitz=s.im.driver.L)
     # below the first candidate, k_bar = 1: the search has nothing to try
     monkeypatch.setattr(nimreg.analysis, "_K_BAR_MAX", 0.5)
-    with pytest.raises(SearchError):
+    with pytest.raises(SearchError, match="tried none"):
         auto_feedback_gain(s, gd)
+    # no probe settles by a target this close: the message names every
+    # k_bar tried, with its settle time and tail
+    monkeypatch.setattr(nimreg.analysis, "_K_BAR_MAX", 2.0)
+    monkeypatch.setattr(nimreg.analysis, "_T_TARGET", 1e-9)
+    with pytest.raises(SearchError) as err:
+        auto_feedback_gain(s, gd)
+    assert "k_bar=1 (t_bar=" in str(err.value)
+    assert "k_bar=2 (t_bar=" in str(err.value)
+    assert "k_bar=4" not in str(err.value)
 
 
 def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
@@ -501,11 +535,12 @@ def test_regulation_dopri5_reports_steps_of_every_run(stacks, monkeypatch):
     assert len(calls) == 1
     shape, meta = calls[0]
     assert shape[1:] == (3,)
-    assert rep.integrator["n_steps"] == meta["n_steps"] > 0
-    assert rep.integrator["n_rejected"] == meta["n_rejected"]
+    ran = rep.trajectory.meta
+    assert ran["n_steps"] == meta["n_steps"] > 0
+    assert ran["n_rejected"] == meta["n_rejected"]
     # the report records the settings that ran, not rk4's step
-    assert rep.integrator["rtol"] == 1e-9 and rep.integrator["atol"] == 1e-12
-    assert "h" not in rep.integrator
+    assert ran["rtol"] == 1e-9 and ran["atol"] == 1e-12
+    assert "h" not in ran
 
 
 def test_auto_feedback_gain_probes_once_on_dopri5(stacks, kappa_stars,
@@ -608,7 +643,7 @@ def test_regulation_vdp_baseline_reports_no_rate(stacks):
     # reported as a decay rate
     s = stacks("vdp")
     rep = linear_baseline_experiment(_runs(s, 6), horizon=20.0)
-    assert rep.tail_sup_e > rep.eps_asym
+    assert not rep.asymptotic
     assert (rep.fit_e, rep.fit_chi, rep.fit_dist) == (None, None, None)
 
 

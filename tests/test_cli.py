@@ -183,6 +183,33 @@ def test_failed_run_removes_stale_csv(tmp_path):
     assert not (out / f"{name}.csv").exists()
 
 
+def test_baseline_runs_on_the_run_settings(tmp_path, monkeypatch):
+    # the comparator integrates with the flags' method and output grid, and
+    # its report and CSV say what ran
+    import nimreg.sim
+
+    ran = []
+    original = nimreg.sim.integrate
+
+    def recording(*args, **kwargs):
+        ran.append((kwargs["method"], kwargs["dt_out"]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(nimreg.sim, "integrate", recording)
+    code, out = _run(tmp_path, ["--benchmark", "harmonic", "--baseline",
+                                "--dt-out", "0.1", "--method", "dopri5",
+                                "--horizon", "5", "--n-samples", "4",
+                                "--transient-time", "5", "--sample-time", "5"])
+    assert code in (0, 1)
+    assert ran == [("dopri5", 0.1)]
+    report = (out / "harmonic_linear_baseline_report.txt").read_text()
+    assert "method = dopri5" in report and "dt_out = 0.1" in report
+    with open(out / "harmonic_linear_baseline.csv", newline="") as fh:
+        t = [float(row[0]) for row in list(csv.reader(fh))[1:]]
+    assert len(t) == 51
+    assert max(abs(b - a - 0.1) for a, b in zip(t, t[1:])) < 1e-9
+
+
 def test_failing_run_exits_one_with_report(tmp_path, capsys):
     # vdp baseline is the documented failure case; report still written
     out = tmp_path / "out"

@@ -1,6 +1,7 @@
 """Every import in the package, the tests and the scripts is used, every
 private top-level name of the package is read somewhere, and so is every
-field of a package dataclass.
+field of a package dataclass.  Package dataclasses are frozen, and the
+package writes into no record field after the record is built.
 
 A name bound by an import counts as used when the module reads it anywhere,
 names it in a string annotation, or lists it in __all__.  A private name
@@ -185,3 +186,114 @@ def test_no_unread_dataclass_fields():
              for line, cls, name in dataclass_fields(path.read_text())
              if name not in read]
     assert not found, "dataclass fields nothing reads:\n" + "\n".join(found)
+
+
+# Records are frozen: a result handed to a caller is never changed after it
+# is built, so no caller can see another's edits.  The tau chain is the one
+# exemption: analysis.tau_image_box stores the image extent on it, and the
+# benchmark's workloads read that attribute.
+MUTABLE_RECORDS = {"TauChain"}
+WRITABLE_FIELDS = {"image_extent"}
+
+
+def _is_frozen(decorator) -> bool:
+    return isinstance(decorator, ast.Call) and any(
+        kw.arg == "frozen" and isinstance(kw.value, ast.Constant) and kw.value.value is True
+        for kw in decorator.keywords)
+
+
+def unfrozen_dataclasses(source: str) -> list:
+    """(line, class) of every dataclass in the module not declared frozen=True."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            decorators = [d for d in node.decorator_list if _is_dataclass(d)]
+            if decorators and not any(map(_is_frozen, decorators)):
+                found.append((node.lineno, node.name))
+    return found
+
+
+def record_writes(source: str, fields: set) -> list:
+    """(line, field) of every write into a field named in fields: x.f = v,
+    x.f[i] = v, x.f += v, setattr(x, "f", v) and object.__setattr__(x, "f", v).
+    A __post_init__ builds its record, so its writes do not count."""
+    tree = ast.parse(source)
+    building = {id(sub) for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == "__post_init__"
+                for sub in ast.walk(node)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in building:
+            continue
+        if isinstance(node, ast.Assign):
+            targets = [t for target in node.targets for t in ast.walk(target)]
+        elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+            targets = [node.target]
+        elif (isinstance(node, ast.Call) and len(node.args) >= 2
+              and isinstance(node.args[1], ast.Constant)
+              and (isinstance(node.func, ast.Name) and node.func.id == "setattr"
+                   or isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "__setattr__")):
+            if node.args[1].value in fields:
+                found.append((node.lineno, node.args[1].value))
+            continue
+        else:
+            continue
+        for target in targets:
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            if isinstance(target, ast.Attribute) and target.attr in fields:
+                found.append((node.lineno, target.attr))
+    return sorted(set(found))
+
+
+def test_record_checkers_find_unfrozen_classes_and_writes():
+    source = (
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class A:\n"
+        "    x: int\n"
+        "@dataclass\n"
+        "class B:\n"
+        "    y: dict\n"
+        "@dataclasses.dataclass(frozen=False, eq=False)\n"
+        "class C:\n"
+        "    z: list\n"
+        "def f(a, b, c, other):\n"
+        "    a.x = 1\n"
+        "    b.y['k'] = 2\n"
+        "    c.z[0][1] += 3\n"
+        "    other.w, (a.x, n) = 4, (5, 6)\n"
+        "    local = {}\n"
+        "    local['x'] = 7\n"
+        "    object.__setattr__(a, 'x', 8)\n"
+        "    setattr(b, 'y', 9)\n"
+        "    object.__setattr__(a, '_cache', 10)\n"
+        "class D:\n"
+        "    def __post_init__(self):\n"
+        "        object.__setattr__(self, 'x', 11)\n"
+    )
+    assert unfrozen_dataclasses(source) == [(7, "B"), (10, "C")]
+    fields = {name for _, _, name in dataclass_fields(source)}
+    assert record_writes(source, fields) == [
+        (13, "x"), (14, "y"), (15, "z"), (16, "x"), (19, "x"), (20, "y")]
+
+
+PACKAGE = [path for path in FILES if path.parent.name == "nimreg"]
+
+
+def test_package_records_are_frozen():
+    found = [f"{path.relative_to(ROOT)}:{line}: {cls}"
+             for path in PACKAGE for line, cls in unfrozen_dataclasses(path.read_text())
+             if cls not in MUTABLE_RECORDS]
+    assert not found, "dataclasses not frozen=True:\n" + "\n".join(found)
+
+
+def test_package_writes_into_no_record_field():
+    fields = {name for path in PACKAGE
+              for _, _, name in dataclass_fields(path.read_text())}
+    found = [f"{path.relative_to(ROOT)}:{line}: {name}"
+             for path in PACKAGE
+             for line, name in record_writes(path.read_text(), fields - WRITABLE_FIELDS)]
+    assert not found, "writes into a built record:\n" + "\n".join(found)

@@ -25,8 +25,9 @@ from nimreg.jets import Jet, gradient, lie_chain
 
 
 def test_variable_and_constant_seeds():
-    x = Jet.variable(2.0, 3)
-    assert x.coeffs == [2.0, 1.0, 0.0, 0.0]
+    # a constant unit field seeds the identity signal t -> 2 + t
+    x = lie_chain(lambda p: p[0], lambda p: (1.0,), 4, np.array([2.0]))
+    assert x.tolist() == [2.0, 1.0, 0.0, 0.0]
     c = Jet.constant(5.0, 3)
     assert c.coeffs == [5.0, 0.0, 0.0, 0.0]
 
@@ -41,7 +42,7 @@ def test_product_matches_series_convolution():
 
 
 def test_pow_is_repeated_product():
-    x = Jet.variable(0.4, 4)
+    x = Jet([0.4, 1.0, 0.0, 0.0, 0.0])  # t -> 0.4 + t
     assert (x ** 3).coeffs == (x * x * x).coeffs
     # (0.4 + t)^3 expanded about t = 0
     assert np.allclose((x ** 3).coeffs, [0.4 ** 3, 3 * 0.4 ** 2, 3 * 0.4, 1.0, 0.0],
@@ -55,7 +56,7 @@ def test_pow_is_repeated_product():
 def test_derivative_value_scaling():
     # k! coeffs[k] is the k-th derivative: of x^4 at 0.2, 4!/(4-k)! 0.2^(4-k)
     x0 = 0.2
-    j = Jet.variable(x0, 5) ** 4
+    j = Jet([x0, 1.0, 0.0, 0.0, 0.0, 0.0]) ** 4
     for k in range(5):
         expect = math.factorial(4) / math.factorial(4 - k) * x0 ** (4 - k)
         assert abs(math.factorial(k) * j.coeffs[k] - expect) < 1e-13

@@ -63,7 +63,17 @@ def test_closed_loop_field_hand_value():
     assert np.allclose(out, expect, atol=1e-14)
 
 
-def test_run_closed_loop_layout_and_shapes():
+def test_run_closed_loop_layout_and_shapes(monkeypatch):
+    import nimreg.sim
+
+    made = []
+    original = nimreg.sim.integrate
+
+    def recording(*args, **kwargs):
+        made.append(original(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(nimreg.sim, "integrate", recording)
     bench = get_benchmark("harmonic")
     cc = _controller()
     x0 = np.array([0.1, 0.05, 1.0, 0.0, 0.0, 0.0])
@@ -71,6 +81,9 @@ def test_run_closed_loop_layout_and_shapes():
                            h=1e-3, dt_out=0.1)
     assert traj.states.shape == (11, 6)
     assert traj.meta["layout"].m == 6
+    # the layout goes into a copy; the integrator's record stays as built
+    assert "layout" not in made[0].meta
+    assert traj.meta == {**made[0].meta, "layout": traj.meta["layout"]}
 
 
 def test_run_closed_loop_rejects_wrong_state_size():
