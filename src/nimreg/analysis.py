@@ -85,15 +85,22 @@ class AttractorEstimate:
         return self.sources.shape[1]
 
 
-def _fold(grid: np.ndarray):
+# folded cell keys are int64
+_KEY_LIMIT = np.iinfo(np.int64).max
+
+
+def _key_dims(lo: np.ndarray, hi: np.ndarray):
+    """Cells per axis of the int64 cell-key ranges lo..hi, or None when
+    their product exceeds _KEY_LIMIT and the keys do not fold."""
+    dims = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
+    return None if math.prod(dims) > _KEY_LIMIT else dims
+
+
+def _fold(grid: np.ndarray, lo: np.ndarray, dims) -> np.ndarray:
     """Fold the int64 cell-key columns of grid (m, N) into one int64 key per
-    column, row-major over the per-axis key ranges, so thinning can find the
-    occupied cells with a 1-D np.unique; None when the product of the ranges
-    does not fit in int64."""
-    lo = grid.min(axis=1)
-    dims = [int(hi) - int(l) + 1 for hi, l in zip(grid.max(axis=1), lo)]
-    if math.prod(dims) > np.iinfo(np.int64).max:
-        return None
+    column, row-major over the ranges that start at lo and hold dims cells
+    (_key_dims), so occupied cells can be found with a 1-D np.unique.  A
+    key outside the ranges raises ValueError."""
     return np.ravel_multi_index(tuple(grid - lo[:, None]), dims)
 
 
@@ -102,16 +109,40 @@ def _thin(points: np.ndarray, resolution: float) -> np.ndarray:
     first point, in input order, to land in the cell.  points is (m, N);
     result (m, K), in first-occurrence order."""
     grid = np.floor(points / resolution).astype(np.int64)
-    keys = _fold(grid)
-    if keys is None:
+    lo = grid.min(axis=1)
+    dims = _key_dims(lo, grid.max(axis=1))
+    if dims is None:
         _, idx = np.unique(grid, axis=1, return_index=True)
     else:
-        _, idx = np.unique(keys, return_index=True)
+        _, idx = np.unique(_fold(grid, lo, dims), return_index=True)
     return points[:, np.sort(idx)]
 
 
-# dense Hermite-fill points per chunk
-_FILL_POINTS = 2e6
+def _first_cells(blocks, resolution: float, lo: np.ndarray, dims) -> np.ndarray:
+    """The first point of every occupied cell over the (m, B) blocks, in
+    the order the blocks give them, in one pass with fixed key ranges.
+
+    Per block: the first point of each run of equal consecutive keys, then
+    the first point per key (np.unique), then the keys not in the sorted
+    array seen of every earlier block's cells (np.searchsorted); those are
+    inserted into seen, and their points kept."""
+    seen = np.empty(0, dtype=np.int64)
+    kept = [np.empty((lo.size, 0))]
+    for dense in blocks:
+        keys = _fold(np.floor(dense / resolution).astype(np.int64), lo, dims)
+        run = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+        cells, first = np.unique(keys[run], return_index=True)
+        pos = np.searchsorted(seen, cells)
+        new = pos == seen.size
+        new[~new] = seen[pos[~new]] != cells[~new]
+        seen = np.insert(seen, pos[new], cells[new])
+        kept.append(dense[:, run[np.sort(first[new])]])
+    del seen  # before the cloud's one copy
+    return np.concatenate(kept, axis=1)
+
+
+# dense Hermite-fill points per block
+_FILL_POINTS = 2e5
 
 
 def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
@@ -127,8 +158,22 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     With resolution None the cloud is the retained samples, source-major.
     Otherwise cubic Hermite fill puts n_sub = max(1, ceil(2 v_max dt /
     resolution)) points in each retention interval dt, v_max the top
-    zero-dynamics speed over the retained samples, and the fill (by source,
-    interval, then sub-position) is thinned.
+    zero-dynamics speed over the retained samples, and the cloud is the
+    first fill point (by source, interval, then sub-position) to land in
+    each occupied cell of size resolution.
+
+    The fill is made in blocks of about _FILL_POINTS points and thinned in
+    one pass (_first_cells) against cell-key ranges fixed before it starts.
+    On an interval from y0 to y1 = y0 + dy with slopes f0, f1 the Hermite
+    value moves from y0 by at most dt|f0| + |a| + |b| <= 5|dy| + 6 dt max|f|
+    per axis (a, b as in integrators._hermite), so the retained samples'
+    range widened by 5 max|dy| + 6 dt max|f|, and one cell for rounding,
+    holds every fill point's cell.  The result is exact: a point's cell,
+    floor(p / resolution), does not depend on the ranges, and a cell's
+    first point overall is the first point in the earliest block that
+    reaches it.  When the ranges' product overflows int64, each block is
+    thinned and merged into the running cloud with _thin instead, which
+    keeps the same first points.
 
     Integration failure is treated as evidence against the boundedness
     assumption and raised as BoundednessError.
@@ -165,20 +210,30 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     dt = traj.t[1] - traj.t[0]
     n_sub = max(1, math.ceil(2.0 * v_max * dt / resolution))
     thetas = np.arange(n_sub) / n_sub
-    cloud = np.empty((m, 0))
-    # chunk the Hermite fill so the dense samples never exist all at once;
-    # merging each thinned chunk into the running cloud keeps every cell's
-    # first point in fill order, as one thinning of the whole fill would
     chunk = max(1, int(_FILL_POINTS // n_sub))
-    for s in range(n_sources):
-        for lo in range(0, n_ret - 1, chunk):
-            hi = min(lo + chunk, n_ret - 1)
-            a, b = slice(lo, hi), slice(lo + 1, hi + 1)
-            # (m, intervals, n_sub): every interval at every sub-position
-            dense = _hermite(y[:, s, a, None], y[:, s, b, None],
-                             f[:, s, a, None], f[:, s, b, None], dt, thetas)
-            cloud = _thin(np.concatenate(
-                [cloud, _thin(dense.reshape(m, -1), resolution)], axis=1), resolution)
+
+    def blocks():
+        for s in range(n_sources):
+            for start in range(0, n_ret - 1, chunk):
+                stop = min(start + chunk, n_ret - 1)
+                a, b = slice(start, stop), slice(start + 1, stop + 1)
+                # (m, intervals, n_sub): every interval at every sub-position
+                yield _hermite(y[:, s, a, None], y[:, s, b, None],
+                               f[:, s, a, None], f[:, s, b, None],
+                               dt, thetas).reshape(m, -1)
+
+    reach = (5.0 * np.max(np.abs(np.diff(y, axis=2)), axis=(1, 2), initial=0.0)
+             + 6.0 * dt * np.max(np.abs(f), axis=(1, 2)))
+    lo = np.floor((np.min(y, axis=(1, 2)) - reach) / resolution).astype(np.int64) - 1
+    hi = np.floor((np.max(y, axis=(1, 2)) + reach) / resolution).astype(np.int64) + 1
+    dims = _key_dims(lo, hi)
+    if dims is not None:
+        cloud = _first_cells(blocks(), resolution, lo, dims)
+    else:
+        cloud = np.empty((m, 0))
+        for dense in blocks():
+            cloud = _thin(np.concatenate([cloud, _thin(dense, resolution)], axis=1),
+                          resolution)
     return AttractorEstimate(points=cloud, resolution=resolution, **common)
 
 
@@ -186,29 +241,43 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
 _PAIR_CHUNK = 32768
 # sorted neighbours whose exact value bounds a query's search window
 _SEED = 16
+# cloud columns per tail evaluation: bounds the jets' temporaries
+_TAIL_BLOCK = 65536
 
 
-def _nearest(blocks) -> np.ndarray:
-    """Per query column, min over reference columns j of the sum over blocks
-    of |q - r[:, j]|; blocks is [(q, r), ...] with q (m_b, Q) and r (m_b, N).
+def _nearest(queries: np.ndarray, points: np.ndarray, tail=None) -> np.ndarray:
+    """Per query column q, the min over cloud columns p of
+
+        |q[:m] - p| + |q[m:] - tail(p)|,
+
+    m = points.shape[0]; without tail, queries has m rows and the sum is its
+    first term.  tail maps (m, B) cloud columns to their (M - m, B) rows of
+    the second block, column by column (as tau does).
 
     Exact projection search (Friedman, Baskett & Shustek, IEEE Trans.
-    Computers 1975).  The reference columns are sorted along the widest axis
-    of the first block.  A query's exact value at its _SEED sorted neighbours
-    is an upper bound ub on its minimum.  The sum over blocks is at least
-    the first block's distance, which is at least the distance along that
-    axis, so every point farther than ub along it is worse than ub; the
-    query takes the exact value over the points within ub, widened by a
-    rounding margin.  A query with a non-finite slot reads its bound: inf,
-    or NaN when a slot is NaN."""
-    q0, r0 = blocks[0]
-    axis = int(np.argmax(np.ptp(r0, axis=1)))
-    order = np.argsort(r0[axis])
-    key = r0[axis, order]
-    refs = np.concatenate([r for _, r in blocks]).take(order, axis=1)
-    queries = np.concatenate([q for q, _ in blocks])
-    cols = np.cumsum([0] + [q.shape[0] for q, _ in blocks])
-    x = q0[axis]
+    Computers 1975).  The cloud's columns are sorted once along its widest
+    axis into one preallocated (M, N) reference array: its rows taken in
+    that order, the tail rows evaluated over blocks of _TAIL_BLOCK sorted
+    columns, so no copy of the cloud or of its whole tail exists besides
+    it.  A query's exact value at its _SEED sorted neighbours is an upper
+    bound ub on its minimum.  The sum is at least the first term, which is
+    at least the distance along the sorted axis, so every point farther
+    than ub along it is worse than ub; the query takes the exact value over
+    the points within ub, widened by a rounding margin.  A query with a
+    non-finite slot reads its bound: inf, or NaN when a slot is NaN."""
+    m, n_pts = points.shape
+    axis = int(np.argmax(np.ptp(points, axis=1)))
+    order = np.argsort(points[axis])
+    refs = np.empty((queries.shape[0], n_pts))
+    for row, out in zip(points, refs):
+        np.take(row, order, out=out, mode="clip")
+    del order
+    if tail is not None:
+        for a in range(0, n_pts, _TAIL_BLOCK):
+            refs[m:, a:a + _TAIL_BLOCK] = tail(refs[:m, a:a + _TAIL_BLOCK])
+    key = refs[axis]
+    cols = [0, m, queries.shape[0]] if tail is not None else [0, m]
+    x = queries[axis]
     n_seed = min(_SEED, key.size)
     seed = np.clip(np.searchsorted(key, x) - n_seed // 2, 0, key.size - n_seed)
     ub = _ranges_min(queries, refs, seed, np.full(x.size, n_seed), cols)
@@ -286,7 +355,11 @@ def graph_distance(tau: TauChain, est: AttractorEstimate, states):
     states is (n+r+d,) or (n+r+d, Q).  The minimum is exact and equals the
     formula evaluated at every cloud point, bit for bit: a point is skipped
     only when its distance along one (z, w) axis alone exceeds a value the
-    query already has (_nearest)."""
+    query already has (_nearest).  tau is evaluated over blocks of the
+    sorted cloud, straight into _nearest's reference array: jets work
+    column by column, so the values are those of tau over the whole cloud,
+    and the memory beyond the cloud is that array, the sort's indices and
+    one block's jet temporaries."""
     pts = est.points
     nr = pts.shape[0]
     X = np.asarray(states, dtype=float)
@@ -295,7 +368,7 @@ def graph_distance(tau: TauChain, est: AttractorEstimate, states):
         X = X[:, None]
     if X.shape[0] != nr + tau.d:
         raise ConfigError(f"state has {X.shape[0]} slots, expected {nr + tau.d}")
-    out = _nearest([(X[:nr], pts), (X[nr:], tau(pts))])
+    out = _nearest(X, pts, tau)
     return float(out[0]) if single else out
 
 

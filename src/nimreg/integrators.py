@@ -245,9 +245,15 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
             reach = t_new + 1e-14 * max(1.0, abs(t_new))
             if next_out <= n_out and t_grid[next_out] <= reach:
                 stop = int(np.searchsorted(t_grid, reach, "right"))
-                theta = np.minimum(np.maximum((t_grid[next_out:stop] - t) / h, 0.0), 1.0)
-                out[next_out:stop] = _hermite(x, x_new, k[0], k[6], h,
-                                              theta.reshape((-1,) + (1,) * x.ndim))
+                if stop == next_out + 1:
+                    # one sample: the scalar call costs less than a broadcast
+                    theta = min(max((t_grid[next_out] - t) / h, 0.0), 1.0)
+                    out[next_out] = _hermite(x, x_new, k[0], k[6], h, theta)
+                else:
+                    theta = np.minimum(
+                        np.maximum((t_grid[next_out:stop] - t) / h, 0.0), 1.0)
+                    out[next_out:stop] = _hermite(x, x_new, k[0], k[6], h,
+                                                  theta.reshape((-1,) + (1,) * x.ndim))
                 next_out = stop
             k[0] = k[6].copy()
             x = x_new

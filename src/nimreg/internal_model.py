@@ -131,9 +131,14 @@ class SaturatedDriver:
     C: float
     L: float
 
+    def __post_init__(self):
+        # the clamp runs on every field evaluation: its bounds as floats, once
+        object.__setattr__(self, "_bounds",
+                           [(float(lo), float(hi)) for lo, hi in self.s_box])
+
     def clamp(self, eta):
-        return [np.minimum(np.maximum(c, self.s_box[i, 0]), self.s_box[i, 1])
-                for i, c in enumerate(eta)]
+        return [np.minimum(np.maximum(c, lo), hi)
+                for c, (lo, hi) in zip(eta, self._bounds)]
 
     def __call__(self, eta):
         return self.f(self.clamp(eta))

@@ -91,7 +91,7 @@ def check_forward_invariance(est, plant, exo) -> float:
                       min(_INVARIANCE_POINTS, pts.shape[1])).astype(int)
     rhs = as_array_rhs(zero_dynamics_field(plant, exo))
     endpoints = rk4_fixed(rhs, pts[:, idx], (0.0, _INVARIANCE_T)).final
-    worst = float(np.max(_nearest([(endpoints, pts)])))
+    worst = float(np.max(_nearest(endpoints, pts)))
     if worst >= _INVARIANCE_TOL:
         raise BoundednessError(
             f"cloud is not forward-invariant at tolerance {_INVARIANCE_TOL:g} "

@@ -6,6 +6,7 @@ its distance along the sorted axis alone exceeds a value the query already
 has, and it sums in the oracle's order.
 """
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -32,7 +33,7 @@ from nimreg import (
 import nimreg.analysis
 from nimreg.analysis import (
     AttractorEstimate,
-    _fold,
+    _key_dims,
     _nearest,
     _thin,
     auto_feedback_gain,
@@ -80,7 +81,7 @@ def test_thinned_cloud_covers_raw_samples():
                                  resolution=resolution, **kw)
     raw = estimate_attractor(bench.plant, bench.exo, sets, resolution=None, **kw)
     # every raw sample sits within one grid-cell diagonal of a kept point
-    gaps = _nearest([(raw.points, thinned.points)])
+    gaps = _nearest(raw.points, thinned.points)
     assert float(np.max(gaps)) <= resolution * np.sqrt(3.0) + 1e-12
 
 
@@ -109,6 +110,70 @@ def test_chunked_cloud_equals_the_one_chunk_cloud(monkeypatch):
     assert np.array_equal(whole.points, chunked.points)
 
 
+def test_key_overflow_fallback_builds_the_streamed_cloud(monkeypatch):
+    # when the fixed key ranges do not fold into int64, each block is thinned
+    # with _thin and merged into the running cloud: the same first points
+    bench = get_benchmark("harmonic")
+    sets = bench.scenario_sets(n_samples=3)
+    kw = dict(w0_sampler=bench.w0_sampler, transient_time=5.0, sample_time=3.0,
+              resolution=2e-3)
+    thinned = []
+    real = nimreg.analysis._thin
+    monkeypatch.setattr(nimreg.analysis, "_thin",
+                        lambda points, res: thinned.append(None) or real(points, res))
+    monkeypatch.setattr(nimreg.analysis, "_FILL_POINTS", 200)
+    streamed = estimate_attractor(bench.plant, bench.exo, sets, **kw)
+    assert not thinned
+    monkeypatch.setattr(nimreg.analysis, "_KEY_LIMIT", 1)
+    fallback = estimate_attractor(bench.plant, bench.exo, sets, **kw)
+    assert len(thinned) > 2 * 3
+    assert np.array_equal(streamed.points, fallback.points)
+
+
+# the harmonic fine cloud: one source at resolution 1.5e-5, about 6e5 points
+_FINE = dict(n_sources=1, transient_time=20.0, sample_time=8.0, resolution=1.5e-5)
+
+
+def _traced_peak(fn):
+    """(fn(), the peak bytes tracemalloc traced above the start while fn ran)."""
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        out = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - start
+
+
+def test_fine_cloud_peak_memory_is_a_few_clouds_and_one_block():
+    # kept points, their one concatenation and the sorted cell keys, plus one
+    # 2e5-point dense block and its Hermite and key temporaries
+    bench = get_benchmark("harmonic")
+    est, peak = _traced_peak(lambda: estimate_attractor(
+        bench.plant, bench.exo, bench.scenario_sets(),
+        w0_sampler=bench.w0_sampler, **_FINE))
+    m, n_pts = est.points.shape
+    assert n_pts > 500_000
+    block = m * 200_000 * 8
+    assert peak < 3 * est.points.nbytes + 4 * block
+
+
+def test_graph_distance_peak_memory_is_one_reference_array(stacks, fine_clouds):
+    # the (n+r+d, N) sorted reference array and the sort's int64 indices,
+    # plus 8 MB for one block of tau's jets and the window search
+    s = stacks("harmonic")
+    est = fine_clouds("harmonic")
+    rng = np.random.default_rng(2)
+    zw = est.points[:, rng.integers(0, est.points.shape[1], 20)]
+    states = np.concatenate([zw, s.tau(zw)]) + 1e-5
+    dist, peak = _traced_peak(lambda: graph_distance(s.tau, est, states))
+    assert np.all(dist < 1e-4)
+    rows, n_pts = states.shape[0], est.points.shape[1]
+    assert n_pts > 500_000
+    assert peak < rows * n_pts * 8 + 2 * n_pts * 8 + 8e6
+
+
 def _thin_by_rows(points, resolution):
     """Thinning by np.unique over whole key rows: the reference for the
     folded-key path."""
@@ -125,7 +190,8 @@ def test_thin_folded_keys_match_row_unique(n, m, log_res, seed):
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, m)) * rng.uniform(0.1, 3.0, size=m)
     resolution = 10.0 ** log_res
-    assert _fold(np.floor(points.T / resolution).astype(np.int64)) is not None
+    grid = np.floor(points.T / resolution).astype(np.int64)
+    assert _key_dims(grid.min(axis=1), grid.max(axis=1)) is not None
     np.testing.assert_array_equal(_thin(points.T, resolution),
                                   _thin_by_rows(points, resolution).T)
 
@@ -136,7 +202,8 @@ def test_thin_falls_back_to_row_unique_when_keys_overflow():
     points = np.concatenate([points, points[::7]])
     resolution = 1e-6
     # per-axis key ranges of about 2e11: their product overflows int64
-    assert _fold(np.floor(points.T / resolution).astype(np.int64)) is None
+    grid = np.floor(points.T / resolution).astype(np.int64)
+    assert _key_dims(grid.min(axis=1), grid.max(axis=1)) is None
     thinned = _thin(points.T, resolution)
     assert thinned.shape == (4, 500)
     np.testing.assert_array_equal(thinned, _thin_by_rows(points, resolution).T)
@@ -290,18 +357,23 @@ def test_window_search_gathers_few_pairs_near_the_graph(stacks, monkeypatch):
 
 def test_nearest_edge_cases():
     rng = np.random.default_rng(5)
-    r, t = rng.normal(size=(3, 50)), rng.normal(size=(2, 50))
+    r = rng.normal(size=(3, 50))
+
+    def tail(p):
+        return np.stack([p[0] * p[1], p[2] - p[0]])
+
+    t = tail(r)
     q, x = rng.normal(size=(3, 5)), rng.normal(size=(2, 5))
     q[0, 0] = np.nan                  # NaN on any axis of the first block
     x[1, 1] = np.nan                  # NaN in a later block
     q[2, 2] = np.inf
     x[0, 3] = -np.inf
-    dist = _nearest([(q, r), (x, t)])
+    dist = _nearest(np.concatenate([q, x]), r, tail)
     assert np.isnan(dist[0]) and np.isnan(dist[1])
     assert dist[2] == np.inf and dist[3] == np.inf
     assert dist[4] == np.min(np.sqrt(np.sum((q[:, 4:] - r) ** 2, axis=0))
                              + np.sqrt(np.sum((x[:, 4:] - t) ** 2, axis=0)))
-    assert _nearest([(q[:, :0], r), (x[:, :0], t)]).shape == (0,)
+    assert _nearest(np.concatenate([q, x])[:, :0], r, tail).shape == (0,)
 
 
 def test_graph_distance_bounds_euclidean_to_graph(stacks):

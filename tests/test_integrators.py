@@ -81,9 +81,9 @@ def test_dopri5_dense_output_between_steps():
     assert np.max(np.abs(traj.states[:, 0] - np.exp(-traj.t))) < 1e-7
 
 
-def test_dopri5_dense_output_equals_per_sample_hermite(monkeypatch):
-    # one _hermite call per accepted step covers every sample inside it;
-    # each row must equal the call made for that sample alone, bit for bit
+def _record_hermite(monkeypatch):
+    """Patch integrators._hermite to record each call's arguments and value;
+    returns the list of records."""
     import nimreg.integrators
 
     calls = []
@@ -92,22 +92,52 @@ def test_dopri5_dense_output_equals_per_sample_hermite(monkeypatch):
     def recording(y0, y1, f0, f1, h, theta):
         value = original(y0, y1, f0, f1, h, theta)
         # the stage buffers are reused by later steps: keep copies
-        calls.append((y0.copy(), y1.copy(), f0.copy(), f1.copy(), h, theta, value))
+        calls.append((y0.copy(), y1.copy(), f0.copy(), f1.copy(), h,
+                      np.array(theta), value))
         return value
 
     monkeypatch.setattr(nimreg.integrators, "_hermite", recording)
+    return calls
+
+
+def test_dopri5_dense_output_equals_per_sample_hermite(monkeypatch):
+    # one _hermite call per accepted step covers every sample inside it;
+    # each row must equal the call made for that sample alone, bit for bit
+    from nimreg.integrators import _hermite
+
+    calls = _record_hermite(monkeypatch)
     x0 = np.array([[1.0, 0.5], [0.0, -2.0]])
     traj = dopri5(rotation, x0, (0.0, 3.0), dt_out=1e-3)
-    rows = 0
+    rows = []
     for y0, y1, f0, f1, h, theta, value in calls:
-        assert theta.shape == (value.shape[0], 1, 1)
-        for th, row in zip(theta[:, 0, 0], value):
-            assert np.array_equal(row, original(y0, y1, f0, f1, h,
+        value = value.reshape((-1,) + x0.shape)
+        assert theta.size == value.shape[0]
+        for th, row in zip(theta.ravel(), value):
+            assert np.array_equal(row, _hermite(y0, y1, f0, f1, h,
                                                 min(max(float(th), 0.0), 1.0)))
-        rows += value.shape[0]
+        rows.append(value)
     assert len(calls) == traj.meta["n_steps"]
-    assert rows == traj.t.size - 1
-    assert np.array_equal(np.concatenate([c[-1] for c in calls]), traj.states[1:])
+    assert np.array_equal(np.concatenate(rows), traj.states[1:])
+
+
+def test_dopri5_one_sample_steps_take_the_scalar_call(monkeypatch):
+    # decay's steps grow past dt_out: steps hold no sample, one sample or
+    # several.  A step with one sample passes theta as a scalar; every row
+    # but the last (the final state itself) equals the broadcast evaluation
+    # of its step at its positions
+    from nimreg.integrators import _hermite
+
+    calls = _record_hermite(monkeypatch)
+    x0 = np.array([[1.0, 2.0]])
+    traj = dopri5(decay, x0, (0.0, 30.0), dt_out=0.5)
+    sizes = [theta.size for *_, theta, _ in calls]
+    assert len(calls) < traj.meta["n_steps"]
+    assert 1 in sizes and max(sizes) > 1
+    assert all(theta.ndim == (0 if theta.size == 1 else 3)
+               for *_, theta, _ in calls)
+    broadcast = [_hermite(y0, y1, f0, f1, h, theta.reshape(-1, 1, 1))
+                 for y0, y1, f0, f1, h, theta, _ in calls]
+    assert np.array_equal(np.concatenate(broadcast)[:-1], traj.states[1:-1])
 
 
 def test_dopri5_guard():
