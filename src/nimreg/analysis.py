@@ -26,8 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .dynsys import (ExosystemSpec, PlantSpec, ScenarioSets, as_array_rhs,
-                     inflate_box, zero_dynamics_field)
+from .dynsys import (ExosystemSpec, PlantSpec, ScenarioSets, inflate_box,
+                     zero_dynamics_rhs)
 from .errors import (BoundednessError, ConfigError, FitError, IntegrationError,
                      PreconditionError, SearchError)
 from .integrators import Trajectory, _hermite, rk4_fixed
@@ -186,7 +186,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
         raise ConfigError("initial-condition sample has wrong dimensions")
     x0 = np.concatenate([z0, w0], axis=0)
 
-    rhs = as_array_rhs(zero_dynamics_field(plant, exo))
+    rhs = zero_dynamics_rhs(plant, exo)
     total = transient_time + sample_time
     try:
         traj = rk4_fixed(rhs, x0, (0.0, total), h=h, dt_out=dt_sample, guard=guard)

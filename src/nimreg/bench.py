@@ -159,8 +159,11 @@ def _vdp(mu: float = 1.0) -> Benchmark:
     cycle = reference_cycle(mu)
     extent = np.column_stack([cycle.states.min(axis=0),
                               cycle.states.max(axis=0)])
+    # constants as 0-d arrays: a ufunc takes them faster than Python floats,
+    # with the same bits
+    mu_, neg_mu, one = np.array(mu), np.array(-mu), np.array(1.0)
     exo = ExosystemSpec(r=2,
-                        s=lambda w: (w[1], mu * (1.0 - w[0] ** 2) * w[1] - w[0]),
+                        s=lambda w: (w[1], mu_ * (one - w[0] ** 2) * w[1] - w[0]),
                         w_box=inflate_box(extent, 0.05))
     plant = PlantSpec(n=1,
                       f0=lambda z, w: (-z[0] + w[0],),
@@ -169,7 +172,7 @@ def _vdp(mu: float = 1.0) -> Benchmark:
 
     def f(eta):
         a, b = eta[0], eta[1]
-        return -mu * (1.0 - a * a) * b + a
+        return neg_mu * (one - a * a) * b + a
 
     return Benchmark(name="vdp", plant=plant, exo=exo, d=2, f=f,
                      z_box=np.array([[-2.0, 2.0]]),

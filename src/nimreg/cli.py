@@ -231,6 +231,8 @@ def _report_items(pipe: Pipeline, report, experiment: str) -> dict:
         "method": cfg.method,
         "h": cfg.h,
         "dt_out": cfg.dt_out,
+        # RK4 reports keep their bytes: the tolerances only say what ran on dopri5
+        **({"rtol": cfg.rtol, "atol": cfg.atol} if cfg.method == "dopri5" else {}),
         "horizon": cfg.horizon,
         "eps": cfg.eps,
         "eps_asym": cfg.eps_asym,

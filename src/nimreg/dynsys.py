@@ -8,10 +8,15 @@ A plant in normal form
 driven by an autonomous exosystem w' = s(w).  The regulated output is the
 scalar zeta itself.
 
-All vector fields follow one calling convention: they take sequences of
-scalar-like components (floats, equal-length numpy rows, or jets) and return
-sequences of components.  One implementation therefore serves plain
-evaluation, batched integration over stacked rows, and jet propagation.
+Vector fields come in two forms.  A component field takes a sequence of
+scalar-like components (floats, equal-length numpy rows, or jets) and
+returns a sequence of components, so one implementation serves plain
+evaluation and jet propagation.  A Field is the bound form the integrators
+run: bind(x, out) takes the rows of a state buffer x and of a rate buffer
+out once, checks the shapes once, and returns a call that evaluates the
+field at x's current values and writes the rates into out's rows.
+component_rhs binds a component field this way; sim binds the closed loop
+and the observer cascade directly.
 
 Sample regions are axis-aligned boxes stored as (dim, 2) arrays of
 [lower, upper] rows.
@@ -33,8 +38,10 @@ __all__ = [
     "as_box",
     "inflate_box",
     "sample_box",
+    "Field",
+    "component_rhs",
     "zero_dynamics_field",
-    "as_array_rhs",
+    "zero_dynamics_rhs",
 ]
 
 
@@ -150,6 +157,34 @@ class ScenarioSets:
 # Closed-loop layouts (appending the controller state) live in sim.
 
 
+@dataclass(frozen=True, eq=False)
+class Field:
+    """A right-hand side in bound form.
+
+    bind(x, out) returns a call that evaluates the field at the state buffer
+    x, an (m,) or (m, batch) array, and writes the rates into out, an array
+    of the same shape.  The call reads x's values when it runs, so an
+    integrator binds its stage buffers once per run and calls on every
+    stage.  Calling the Field itself evaluates it once into a new array.
+    """
+
+    bind: Callable
+
+    def __call__(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        out = np.empty(x.shape)
+        self.bind(x, out)()
+        return out
+
+
+def _row_views(x: np.ndarray, m: int, what: str) -> list:
+    """The m rows of a state or rate buffer as views: (batch,) rows of an
+    (m, batch) buffer, 0-d arrays of an (m,) one."""
+    if len(x) != m:
+        raise ConfigError(f"{what} state has {len(x)} components, expected {m}")
+    return [x[i, ...] for i in range(m)]
+
+
 def _check_len(values, expected: int, what: str):
     values = tuple(values)
     if len(values) != expected:
@@ -157,30 +192,39 @@ def _check_len(values, expected: int, what: str):
     return values
 
 
+def component_rhs(field: Callable, m: int, what: str = "field") -> Field:
+    """Bind a component field of m components for integration.  At bind
+    time the field is evaluated once, at the buffer's values, to check that
+    it returns m components; each call then copies every returned component
+    into its row of out."""
+
+    def bind(x, out):
+        xs, outs = _row_views(x, m, what), _row_views(out, m, what)
+        _check_len(field(xs), m, what)
+
+        def call():
+            for o, c in zip(outs, field(xs)):
+                o[...] = c
+
+        return call
+
+    return Field(bind)
+
+
 def zero_dynamics_field(plant: PlantSpec, exo: ExosystemSpec) -> Callable:
-    """Field (z, w) -> (f0(z, w), s(w)) on the stacked [z; w] components."""
-    n, r = plant.n, exo.r
+    """Component field (z, w) -> (f0(z, w), s(w)) on the stacked [z; w]
+    components.  It checks nothing per call: jets.lie_chain and
+    component_rhs check the number of components it returns."""
+    n, f0, s = plant.n, plant.f0, exo.s
 
     def field(x):
-        if len(x) != n + r:
-            raise ConfigError(f"state has {len(x)} components, expected {n + r}")
         z, w = x[:n], x[n:]
-        fz = _check_len(plant.f0(z, w), n, "f0")
-        fw = _check_len(exo.s(w), r, "s")
-        return fz + fw
+        return (*f0(z, w), *s(w))
 
     return field
 
 
-def as_array_rhs(field: Callable) -> Callable:
-    """Adapt a component field to an integrator right-hand side mapping an
-    (m,) or (m, batch) array to an array of the same shape."""
-
-    def rhs(x: np.ndarray) -> np.ndarray:
-        comps = field(x)
-        out = np.empty_like(x)
-        for i, c in enumerate(comps):
-            out[i] = c
-        return out
-
-    return rhs
+def zero_dynamics_rhs(plant: PlantSpec, exo: ExosystemSpec) -> Field:
+    """The zero dynamics, bound for integration on [z; w] states."""
+    return component_rhs(zero_dynamics_field(plant, exo), plant.n + exo.r,
+                         "zero dynamics")

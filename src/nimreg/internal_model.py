@@ -16,7 +16,8 @@ from typing import Callable
 import numpy as np
 
 from . import jets
-from .dynsys import ExosystemSpec, PlantSpec, as_box, zero_dynamics_field, as_array_rhs
+from .dynsys import (ExosystemSpec, PlantSpec, as_box, component_rhs,
+                     zero_dynamics_field, zero_dynamics_rhs)
 from .errors import CapabilityError, ConfigError, PreconditionError
 from .integrators import rk4_fixed
 
@@ -132,13 +133,13 @@ class SaturatedDriver:
     L: float
 
     def __post_init__(self):
-        # the clamp runs on every field evaluation: its bounds as floats, once
-        object.__setattr__(self, "_bounds",
-                           [(float(lo), float(hi)) for lo, hi in self.s_box])
+        # the clamp runs on every field evaluation: its bounds as 0-d arrays,
+        # once (a ufunc takes them faster than Python floats, same bits)
+        object.__setattr__(self, "_lo", [np.array(lo) for lo in self.s_box[:, 0]])
+        object.__setattr__(self, "_hi", [np.array(hi) for hi in self.s_box[:, 1]])
 
     def clamp(self, eta):
-        return [np.minimum(np.maximum(c, lo), hi)
-                for c, (lo, hi) in zip(eta, self._bounds)]
+        return list(map(np.minimum, map(np.maximum, eta, self._lo), self._hi))
 
     def __call__(self, eta):
         return self.f(self.clamp(eta))
@@ -177,10 +178,12 @@ class InternalModel:
     driver: SaturatedDriver
 
     def phi_c(self, eta):
-        """Field value as d components; eta is a sequence of d components."""
-        if len(eta) != self.d:
-            raise ConfigError(f"eta has {len(eta)} components, expected {self.d}")
-        return tuple(eta[1:]) + (-self.driver(eta),)
+        """Field value as d components; eta is a sequence of d components.
+
+        The chain structure lives here alone: verify_internal_model and the
+        bound fields of sim both evaluate it, and check the number of
+        components when they bind, not per call."""
+        return (*eta[1:], -self.driver(eta))
 
 
 # verification ----------------------------------------------------------------
@@ -224,7 +227,7 @@ def verify_internal_model(im: InternalModel, tau: TauChain, cloud) -> ImVerifica
     idx = np.linspace(0, points.shape[1] - 1, n_traj).astype(int)
     x0 = points[:, idx]
 
-    rhs = as_array_rhs(zero_dynamics_field(tau.plant, tau.exo))
+    rhs = zero_dynamics_rhs(tau.plant, tau.exo)
     traj = rk4_fixed(rhs, x0, (0.0, _VERIFY_HORIZON), h=_VERIFY_DT)
     # tau over all states at once: (steps+1, n+r, n_traj) -> (n+r, ...)
     flat = np.moveaxis(traj.states, 0, -1).reshape(points.shape[0], -1)
@@ -232,7 +235,7 @@ def verify_internal_model(im: InternalModel, tau: TauChain, cloud) -> ImVerifica
 
     dtau = (tau_vals[:, :, 2:] - tau_vals[:, :, :-2]) / (2.0 * traj.meta["h"])
     mid = tau_vals[:, :, 1:-1]
-    phi_vals = as_array_rhs(im.phi_c)(mid.reshape(im.d, -1)).reshape(mid.shape)
+    phi_vals = component_rhs(im.phi_c, im.d, "Phi_c")(mid.reshape(im.d, -1)).reshape(mid.shape)
     residual_flow = float(np.max(np.abs(dtau - phi_vals)))
 
     tau_cloud = tau(points)

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapabilityError
+from .errors import CapabilityError, ConfigError
 
 __all__ = [
     "Jet",
@@ -140,7 +140,10 @@ def lie_chain(g, field, count: int, x0) -> np.ndarray:
     state = [Jet.constant(x0[i], order) for i in range(x0.shape[0])]
     try:
         for k in range(order):
-            rates = field(state)
+            rates = tuple(field(state))
+            if len(rates) != len(state):
+                raise ConfigError(f"field returned {len(rates)} components, "
+                                  f"expected {len(state)}")
             for i, r in enumerate(rates):
                 state[i].coeffs[k + 1] = _coeff(r, k) / (k + 1)
         gj = g(state)

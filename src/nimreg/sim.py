@@ -13,8 +13,10 @@ State layouts, by slot order:
     observer cascade       [z (n), w (r), xi (d)]
     closed loop            [z (n), e, w (r), xi (d)]
 
-Field builders return component fields (see dynsys); wrap with as_array_rhs
-to integrate.
+The closed loop and the cascade are bound fields (dynsys.Field): binding
+takes the state buffer's rows once and checks the plant's component counts
+once, and each call writes every rate row in place, with the gains G and -k
+as 0-d arrays, in the operation order of the formulas below.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynsys import ExosystemSpec, PlantSpec, as_array_rhs
+from .dynsys import ExosystemSpec, Field, PlantSpec, _check_len, _row_views
 from .errors import ConfigError
 from .integrators import Trajectory, integrate
 
@@ -95,70 +97,111 @@ class StateLayout:
         return slice(off, off + self.d)
 
 
-def _closed_loop_field(plant: PlantSpec, exo: ExosystemSpec, cc: ControllerConfig):
+def _copy_rates(im: "InternalModel", G, xi, xidot, s):
+    """Call writing xi' = Phi_c(xi) + G s into the rows xidot, for the row s
+    its caller fills before it runs."""
+    gains = [np.array(g) for g in np.asarray(G, dtype=float).ravel()]
+    gs = np.empty_like(s)
+    phi_c, mul, add = im.phi_c, np.multiply, np.add
+
+    def call():
+        for o, p, g in zip(xidot, phi_c(xi), gains):
+            mul(g, s, gs)
+            add(p, gs, o)
+
+    return call
+
+
+def _closed_loop_rhs(plant: PlantSpec, exo: ExosystemSpec, cc: ControllerConfig):
     """Closed loop in plain coordinates [z, e, w, xi]:
 
         z' = f0 + f1 e,  e' = q + xi_1 + v,  w' = s,  xi' = Phi_c(xi) + G v,
 
-    with v = -k e."""
-    n, r, d = plant.n, exo.r, cc.im.d
-    G = [float(g) for g in np.asarray(cc.gd.G, dtype=float).ravel()]
-    k = float(cc.k)
-    im = cc.im
-    layout = StateLayout(n=n, r=r, d=d, has_error=True)
+    with v = -k e, as a bound field and its layout."""
+    n, r = plant.n, exo.r
+    layout = StateLayout(n=n, r=r, d=cc.im.d, has_error=True)
+    f0, f1, q, s = plant.f0, plant.f1, plant.q, exo.s
+    neg_k = np.array(-float(cc.k))
+    mul, add = np.multiply, np.add
 
-    def field(x):
-        z, e, w, xi = x[:n], x[n], x[n + 1:n + 1 + r], x[n + 1 + r:]
-        v = -k * e
-        fz = plant.f0(z, w)
-        f1v = plant.f1(z, e, w)
-        zdot = tuple(a + b * e for a, b in zip(fz, f1v))
-        edot = plant.q(z, e, w) + xi[0] + v
-        phi = im.phi_c(xi)
-        xidot = tuple(p + g * v for p, g in zip(phi, G))
-        return zdot + (edot,) + tuple(exo.s(w)) + xidot
+    def bind(x, out):
+        xs, outs = _row_views(x, layout.m, "closed-loop"), _row_views(out, layout.m, "closed-loop")
+        z, e, w, xi = xs[:n], xs[n], xs[n + 1:n + 1 + r], xs[n + 1 + r:]
+        zdot, edot, wdot = outs[:n], outs[n], outs[n + 1:n + 1 + r]
+        _check_len(f0(z, w), n, "f0")
+        _check_len(f1(z, e, w), n, "f1")
+        _check_len(s(w), r, "s")
+        v = np.empty_like(e)
+        xi_rates = _copy_rates(cc.im, cc.gd.G, xi, outs[n + 1 + r:], v)
 
-    return field, layout
+        def call():
+            mul(neg_k, e, v)  # v = -k e
+            for o, a, b in zip(zdot, f0(z, w), f1(z, e, w)):
+                mul(b, e, o)  # f0 + f1 e
+                add(a, o, o)
+            add(q(z, e, w), xi[0], edot)  # q + xi_1 + v
+            add(edot, v, edot)
+            for o, c in zip(wdot, s(w)):
+                o[...] = c
+            xi_rates()
+
+        return call
+
+    return Field(bind), layout
 
 
-def _cascade_field(plant: PlantSpec, exo: ExosystemSpec, im: "InternalModel", G):
+def _cascade_rhs(plant: PlantSpec, exo: ExosystemSpec, im: "InternalModel", G):
     """Zero dynamics driving the internal-model copy, on [z, w, xi]:
 
-        z' = f0,  w' = s,  xi' = Phi_c(xi) + G (-q(z, 0, w) - xi_1).
+        z' = f0,  w' = s,  xi' = Phi_c(xi) + G (-q(z, 0, w) - xi_1),
 
-    The (z, w) block is autonomous, so its flow matches the bare zero
-    dynamics slot for slot."""
-    n, r, d = plant.n, exo.r, im.d
-    G = [float(g) for g in np.asarray(G, dtype=float).ravel()]
-    layout = StateLayout(n=n, r=r, d=d, has_error=False)
+    as a bound field and its layout.  The (z, w) block is autonomous, so its
+    flow matches the bare zero dynamics slot for slot."""
+    n, r = plant.n, exo.r
+    layout = StateLayout(n=n, r=r, d=im.d, has_error=False)
+    f0, q, s = plant.f0, plant.q, exo.s
+    zero = np.array(0.0)
 
-    def field(x):
-        z, w, xi = x[:n], x[n:n + r], x[n + r:]
-        innov = -plant.q(z, 0.0, w) - xi[0]
-        phi = im.phi_c(xi)
-        return tuple(plant.f0(z, w)) + tuple(exo.s(w)) + tuple(
-            p + g * innov for p, g in zip(phi, G))
+    def bind(x, out):
+        xs, outs = _row_views(x, layout.m, "cascade"), _row_views(out, layout.m, "cascade")
+        z, w, xi = xs[:n], xs[n:n + r], xs[n + r:]
+        zdot, wdot = outs[:n], outs[n:n + r]
+        _check_len(f0(z, w), n, "f0")
+        _check_len(s(w), r, "s")
+        innov = np.empty_like(xi[0])
+        xi_rates = _copy_rates(im, G, xi, outs[n + r:], innov)
 
-    return field, layout
+        def call():
+            np.negative(q(z, zero, w), innov)  # -q(z, 0, w) - xi_1
+            np.subtract(innov, xi[0], innov)
+            for o, c in zip(zdot, f0(z, w)):
+                o[...] = c
+            for o, c in zip(wdot, s(w)):
+                o[...] = c
+            xi_rates()
+
+        return call
+
+    return Field(bind), layout
 
 
-def _run(field, layout, x0, t_span, method, **kwargs) -> Trajectory:
+def _run(rhs, layout, x0, t_span, method, **kwargs) -> Trajectory:
     x0 = np.asarray(x0, dtype=float)
     if x0.shape[0] != layout.m:
         raise ConfigError(f"initial state has {x0.shape[0]} slots, expected {layout.m}")
-    traj = integrate(as_array_rhs(field), x0, t_span, method=method, **kwargs)
+    traj = integrate(rhs, x0, t_span, method=method, **kwargs)
     return replace(traj, meta={**traj.meta, "layout": layout})
 
 
 def run_closed_loop(plant, exo, cc, x0, t_span, method: str = "rk4",
                     **kwargs) -> Trajectory:
     """Integrate the closed loop from stacked [z, e, w, xi] states."""
-    field, layout = _closed_loop_field(plant, exo, cc)
-    return _run(field, layout, x0, t_span, method, **kwargs)
+    rhs, layout = _closed_loop_rhs(plant, exo, cc)
+    return _run(rhs, layout, x0, t_span, method, **kwargs)
 
 
 def run_observer_cascade(plant, exo, im, G, x0, t_span, **kwargs) -> Trajectory:
     """Integrate the zero-dynamics/observer cascade from [z, w, xi] states on
     the fixed RK4 grid, so a run from a matched-cloud start retraces the cloud."""
-    field, layout = _cascade_field(plant, exo, im, G)
-    return _run(field, layout, x0, t_span, "rk4", **kwargs)
+    rhs, layout = _cascade_rhs(plant, exo, im, G)
+    return _run(rhs, layout, x0, t_span, "rk4", **kwargs)

@@ -2,8 +2,10 @@
 modules.
 
 The reference implementations are checks that no pipeline stage runs: the
-clustered pole error (check 02), cloud forward invariance, and the closed
-loop in the shifted eta coordinates (check 09).
+clustered pole error (check 02), cloud forward invariance, the closed loop
+in the shifted eta coordinates (check 09), and a straight-line RK4 over
+component fields, evaluated the allocating way, against which the bound
+fields and the in-place integrator must agree bit for bit.
 """
 
 import math
@@ -11,7 +13,7 @@ import math
 import numpy as np
 
 from nimreg.analysis import _nearest
-from nimreg.dynsys import as_array_rhs, zero_dynamics_field
+from nimreg.dynsys import component_rhs, zero_dynamics_rhs
 from nimreg.errors import BoundednessError
 from nimreg.integrators import rk4_fixed
 
@@ -19,10 +21,10 @@ from nimreg.integrators import rk4_fixed
 def fd_along_flow(g, field, count, x0, window=0.08, n_pts=33, deg=10):
     """Time derivatives of g along the flow of field at x0, no jets involved:
     integrate to a centered grid of times and fit a Vandermonde polynomial."""
-    rhs = as_array_rhs(field)
+    x0 = np.asarray(x0, dtype=float)
+    rhs = component_rhs(field, x0.shape[0])
     ts = np.linspace(-window, window, n_pts)
     vals = np.empty(n_pts)
-    x0 = np.asarray(x0, dtype=float)
     for i, t in enumerate(ts):
         if abs(t) < 1e-15:
             state = x0
@@ -89,8 +91,8 @@ def check_forward_invariance(est, plant, exo) -> float:
     pts = est.points
     idx = np.linspace(0, pts.shape[1] - 1,
                       min(_INVARIANCE_POINTS, pts.shape[1])).astype(int)
-    rhs = as_array_rhs(zero_dynamics_field(plant, exo))
-    endpoints = rk4_fixed(rhs, pts[:, idx], (0.0, _INVARIANCE_T)).final
+    endpoints = rk4_fixed(zero_dynamics_rhs(plant, exo), pts[:, idx],
+                          (0.0, _INVARIANCE_T)).final
     worst = float(np.max(_nearest(endpoints, pts)))
     if worst >= _INVARIANCE_TOL:
         raise BoundednessError(
@@ -106,7 +108,7 @@ def closed_loop_field_eta(plant, exo, cc):
         z' = f0 + f1 e,  e' = q + eta_1 - k_bar e,  w' = s,
         eta' = Phi_c(eta + G e) - G (eta_1 + G_1 e) - G q(z, e, w).
 
-    Component field; wrap with as_array_rhs to integrate."""
+    Component field; bind with component_rhs to integrate."""
     n, r = plant.n, exo.r
     G = [float(g) for g in np.asarray(cc.gd.G, dtype=float).ravel()]
     k_bar = float(cc.k_bar)
@@ -124,5 +126,77 @@ def closed_loop_field_eta(plant, exo, cc):
         phi = im.phi_c(xi)
         etadot = tuple(p - g * (gamma_xi + qv) for p, g in zip(phi, G))
         return zdot + (edot,) + tuple(exo.s(w)) + etadot
+
+    return field
+
+
+# straight-line RK4 over component fields ---------------------------------------
+
+
+def array_rhs(field):
+    """A component field as a plain array callable that allocates its
+    output and copies each component into its row."""
+
+    def rhs(x):
+        out = np.empty_like(x)
+        for i, c in enumerate(field(x)):
+            out[i] = c
+        return out
+
+    return rhs
+
+
+def rk4_reference(field, x0, t_span, n_steps):
+    """The final state of n_steps classical RK4 steps over t_span, one
+    allocating expression per stage."""
+    rhs = array_rhs(field)
+    h = (t_span[1] - t_span[0]) / n_steps
+    half, sixth = 0.5 * h, h / 6.0
+    x = np.array(x0, dtype=float)
+    for _ in range(n_steps):
+        k1 = rhs(x)
+        k2 = rhs(x + half * k1)
+        k3 = rhs(x + half * k2)
+        k4 = rhs(x + h * k3)
+        x = x + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return x
+
+
+def closed_loop_field(plant, exo, cc):
+    """Component field of the closed loop in plain coordinates [z, e, w, xi]
+    (sim's bound field), as tuples of components:
+
+        z' = f0 + f1 e,  e' = q + xi_1 + v,  w' = s,  xi' = Phi_c(xi) + G v,
+
+    with v = -k e."""
+    n, r = plant.n, exo.r
+    G = [float(g) for g in np.asarray(cc.gd.G, dtype=float).ravel()]
+    k = float(cc.k)
+    im = cc.im
+
+    def field(x):
+        z, e, w, xi = x[:n], x[n], x[n + 1:n + 1 + r], x[n + 1 + r:]
+        v = -k * e
+        zdot = tuple(a + b * e for a, b in zip(plant.f0(z, w), plant.f1(z, e, w)))
+        edot = plant.q(z, e, w) + xi[0] + v
+        xidot = tuple(p + g * v for p, g in zip(im.phi_c(xi), G))
+        return zdot + (edot,) + tuple(exo.s(w)) + xidot
+
+    return field
+
+
+def cascade_field(plant, exo, im, G):
+    """Component field of the observer cascade on [z, w, xi] (sim's bound
+    field), as tuples of components:
+
+        z' = f0,  w' = s,  xi' = Phi_c(xi) + G (-q(z, 0, w) - xi_1)."""
+    n, r = plant.n, exo.r
+    G = [float(g) for g in np.asarray(G, dtype=float).ravel()]
+
+    def field(x):
+        z, w, xi = x[:n], x[n:n + r], x[n + r:]
+        innov = -plant.q(z, 0.0, w) - xi[0]
+        return tuple(plant.f0(z, w)) + tuple(exo.s(w)) + tuple(
+            p + g * innov for p, g in zip(im.phi_c(xi), G))
 
     return field

@@ -30,7 +30,7 @@ from nimreg.analysis import (
     linear_baseline_experiment,
     perturbation_decay_experiment,
 )
-from nimreg.dynsys import as_array_rhs, sample_box, zero_dynamics_field
+from nimreg.dynsys import component_rhs, sample_box, zero_dynamics_field
 from nimreg.gain import place_poles, solve_lyapunov
 from nimreg.integrators import rk4_fixed
 from nimreg.cli import main as cli_main
@@ -206,7 +206,8 @@ def test_coordinate_change_equivalence(stacks):
         kw = dict(h=1e-3, dt_out=0.05)
         t_xi = run_closed_loop(s.bench.plant, s.bench.exo, cc, x_xi,
                                (0.0, 10.0), **kw)
-        eta_rhs = as_array_rhs(closed_loop_field_eta(s.bench.plant, s.bench.exo, cc))
+        eta_rhs = component_rhs(closed_loop_field_eta(s.bench.plant, s.bench.exo, cc),
+                                x_eta.shape[0])
         t_eta = rk4_fixed(eta_rhs, x_eta, (0.0, 10.0), **kw)
         slot = t_xi.meta["layout"].e
         gap = float(np.max(np.abs(t_xi.states[:, slot] - t_eta.states[:, slot])))

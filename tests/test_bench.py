@@ -11,7 +11,7 @@ import pytest
 
 from nimreg import get_benchmark
 from nimreg.bench import reference_cycle, registry
-from nimreg.dynsys import as_array_rhs
+from nimreg.dynsys import component_rhs
 from nimreg.errors import ConfigError
 from nimreg.integrators import dopri5
 
@@ -78,7 +78,7 @@ def test_vdp_sampler_points_lie_on_cycle():
     w0 = bench.w0_sampler(8, rng)
     assert w0.shape == (2, 8)
     period = reference_cycle(1.0).period
-    rhs = as_array_rhs(bench.exo.s)
+    rhs = component_rhs(bench.exo.s, 2)
     for j in range(8):
         traj = dopri5(rhs, w0[:, j], (0.0, period), rtol=1e-11, atol=1e-13,
                       dt_out=period)

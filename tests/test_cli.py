@@ -168,6 +168,20 @@ def test_run_rerun_is_byte_identical(tmp_path, args):
         (out2 / f"{name}_report.txt").read_bytes()
 
 
+def test_report_names_the_dopri5_tolerances(tmp_path):
+    # a dopri5 report says which tolerances ran; an RK4 report has no
+    # tolerance lines
+    code, out = _run(tmp_path / "dopri5", QUICK_STATIC + ["--method", "dopri5",
+                                                          "--rtol", "1e-10"])
+    lines = (out / "static_regulation_report.txt").read_text().splitlines()
+    assert code == 0
+    assert lines[lines.index("dt_out = 0.01") + 1:][:2] == ["rtol = 1e-10", "atol = 1e-12"]
+    code, out = _run(tmp_path / "rk4", QUICK_STATIC)
+    report = (out / "static_regulation_report.txt").read_text()
+    assert code == 0 and "method = rk4" in report
+    assert "rtol" not in report and "atol" not in report
+
+
 def test_failed_run_removes_stale_csv(tmp_path):
     # the rerun trips the overflow guard in the closed loop, so it has no
     # trajectory to write; the first run's CSV must not survive beside its

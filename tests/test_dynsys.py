@@ -8,11 +8,13 @@ from hypothesis import strategies as st
 from nimreg import ExosystemSpec, PlantSpec, ScenarioSets, get_benchmark
 from nimreg.dynsys import (
     as_box,
-    as_array_rhs,
+    component_rhs,
     inflate_box,
     sample_box,
     zero_dynamics_field,
+    zero_dynamics_rhs,
 )
+from nimreg.integrators import dopri5, rk4_fixed
 from nimreg.errors import ConfigError
 
 
@@ -98,11 +100,45 @@ def test_zero_dynamics_field_harmonic_values():
     assert np.allclose(out, [-0.3 + 0.8, -0.6, -0.8], atol=1e-15)
 
 
-def test_as_array_rhs_batches_columns():
+def test_component_rhs_batches_columns():
     bench = get_benchmark("harmonic")
-    rhs = as_array_rhs(zero_dynamics_field(bench.plant, bench.exo))
+    rhs = zero_dynamics_rhs(bench.plant, bench.exo)
     pts = np.array([[0.3, 0.1], [0.8, -0.2], [-0.6, 0.4]])
     out = rhs(pts)
     assert out.shape == pts.shape
     for j in range(2):
         assert np.allclose(out[:, j], rhs(pts[:, j]))
+
+
+def _counting(field):
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return field(*args)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("integrator", [
+    lambda rhs, x0: rk4_fixed(rhs, x0, (0.0, 1.0), h=1e-3),
+    lambda rhs, x0: dopri5(rhs, x0, (0.0, 1.0), dt_out=0.1),
+])
+def test_wrong_component_count_raises_at_bind_time(integrator):
+    # three components for a two-component state: the bind-time evaluation
+    # raises, before the first step
+    field, calls = _counting(lambda x: (x[1], -x[0], 0.0))
+    with pytest.raises(ConfigError, match="returned 3 components, expected 2"):
+        integrator(component_rhs(field, 2), np.ones((2, 4)))
+    assert len(calls) == 1
+
+
+def test_zero_dynamics_component_counts_checked_once():
+    bench = get_benchmark("harmonic")
+    f0, calls = _counting(lambda z, w: (-z[0] + w[0], 0.0))
+    plant = PlantSpec(n=1, f0=f0, f1=bench.plant.f1, q=bench.plant.q)
+    with pytest.raises(ConfigError, match="zero dynamics returned 4 components"):
+        rk4_fixed(zero_dynamics_rhs(plant, bench.exo), np.ones((3, 2)), (0.0, 1.0))
+    assert len(calls) == 1
+    with pytest.raises(ConfigError, match="zero dynamics state has 2 components"):
+        zero_dynamics_rhs(bench.plant, bench.exo)(np.ones((2, 5)))

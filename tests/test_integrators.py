@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from nimreg.dynsys import Field
 from nimreg.errors import ConfigError, IntegrationError
 from nimreg.integrators import Trajectory, dopri5, integrate, rk4_fixed
 
@@ -57,6 +58,27 @@ def test_rk4_guard_raises_with_partial():
     err = exc_info.value
     assert err.t_fail is not None and 0.9 < err.t_fail < 1.1  # pole at t = 1
     assert err.partial is None or isinstance(err.partial, Trajectory)
+
+
+@pytest.mark.parametrize("h", [1.0, 0.1, 1e-3])
+def test_rk4_binds_four_times_per_call(h):
+    # one bind per stage buffer, whatever the step count; each call then
+    # evaluates the field in place
+    binds, calls = [], []
+
+    def bind(x, out):
+        binds.append(x.shape)
+
+        def call():
+            calls.append(1)
+            np.negative(x, out=out)
+
+        return call
+
+    traj = rk4_fixed(Field(bind), np.ones((1, 3)), (0.0, 1.0), h=h)
+    assert binds == [(1, 3)] * 4
+    assert len(calls) == 4 * traj.meta["n_steps"]
+    assert np.array_equal(traj.final, rk4_fixed(decay, np.ones((1, 3)), (0.0, 1.0), h=h).final)
 
 
 def test_rk4_rejects_bad_step():

@@ -5,7 +5,7 @@ import pytest
 
 from nimreg import build_tau, get_benchmark, saturate, verify_internal_model
 from nimreg.analysis import tau_image_box
-from nimreg.dynsys import as_array_rhs
+from nimreg.dynsys import component_rhs
 from nimreg.errors import ConfigError, PreconditionError
 from nimreg.internal_model import InternalModel
 
@@ -99,7 +99,7 @@ def test_saturated_driver_constants_bound_samples():
 def test_phi_c_chain_structure():
     driver = saturate(lambda eta: eta[0] * eta[1], [[-2, 2], [-2, 2]])
     im = InternalModel(d=2, driver=driver)
-    out = as_array_rhs(im.phi_c)(np.array([0.5, -1.0]))
+    out = component_rhs(im.phi_c, 2)(np.array([0.5, -1.0]))
     assert out.shape == (2,)
     assert out[0] == -1.0
     assert abs(out[1] - (-(0.5 * -1.0))) < 1e-15
