@@ -85,51 +85,40 @@ class AttractorEstimate:
         return self.sources.shape[1]
 
 
-# folded cell keys are int64
+# cell keys fold into one int64 while the ranges hold at most this many cells
 _KEY_LIMIT = np.iinfo(np.int64).max
 
 
-def _key_dims(lo: np.ndarray, hi: np.ndarray):
-    """Cells per axis of the int64 cell-key ranges lo..hi, or None when
-    their product exceeds _KEY_LIMIT and the keys do not fold."""
+def _cell_keys(lo: np.ndarray, hi: np.ndarray):
+    """The key function of the int64 cells lo..hi (inclusive, per axis): it
+    maps an (m, B) grid of cell indices to B keys, equal for equal cells.
+    While the ranges hold at most _KEY_LIMIT cells, a key is the cell's
+    row-major index over them, one int64 (a cell outside raises
+    ValueError); beyond that, it is the cell's m indices read as one
+    8m-byte record."""
     dims = [int(b) - int(a) + 1 for a, b in zip(lo, hi)]
-    return None if math.prod(dims) > _KEY_LIMIT else dims
+    if math.prod(dims) <= _KEY_LIMIT:
+        return lambda grid: np.ravel_multi_index(tuple(grid - lo[:, None]), dims)
+    record = np.dtype((np.void, 8 * lo.size))
+    return lambda grid: np.ascontiguousarray(grid.T).view(record).ravel()
 
 
-def _fold(grid: np.ndarray, lo: np.ndarray, dims) -> np.ndarray:
-    """Fold the int64 cell-key columns of grid (m, N) into one int64 key per
-    column, row-major over the ranges that start at lo and hold dims cells
-    (_key_dims), so occupied cells can be found with a 1-D np.unique.  A
-    key outside the ranges raises ValueError."""
-    return np.ravel_multi_index(tuple(grid - lo[:, None]), dims)
-
-
-def _thin(points: np.ndarray, resolution: float) -> np.ndarray:
-    """Keep one representative per occupied grid cell of the given size: the
-    first point, in input order, to land in the cell.  points is (m, N);
-    result (m, K), in first-occurrence order."""
-    grid = np.floor(points / resolution).astype(np.int64)
-    lo = grid.min(axis=1)
-    dims = _key_dims(lo, grid.max(axis=1))
-    if dims is None:
-        _, idx = np.unique(grid, axis=1, return_index=True)
-    else:
-        _, idx = np.unique(_fold(grid, lo, dims), return_index=True)
-    return points[:, np.sort(idx)]
-
-
-def _first_cells(blocks, resolution: float, lo: np.ndarray, dims) -> np.ndarray:
-    """The first point of every occupied cell over the (m, B) blocks, in
-    the order the blocks give them, in one pass with fixed key ranges.
+def _first_cells(blocks, resolution: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The first point of every occupied cell of size resolution over the
+    (m, B) blocks, in the order the blocks give them, in one pass with the
+    key function of the fixed cell ranges lo..hi (_cell_keys).
 
     Per block: the first point of each run of equal consecutive keys, then
     the first point per key (np.unique), then the keys not in the sorted
     array seen of every earlier block's cells (np.searchsorted); those are
-    inserted into seen, and their points kept."""
-    seen = np.empty(0, dtype=np.int64)
+    inserted into seen, and their points kept.  Only key equality decides
+    what is kept, and kept points are taken in block order, so int64 keys
+    and record keys, which sort differently, keep the same points."""
+    key = _cell_keys(lo, hi)
+    seen = key(np.empty((lo.size, 0), dtype=np.int64))
     kept = [np.empty((lo.size, 0))]
     for dense in blocks:
-        keys = _fold(np.floor(dense / resolution).astype(np.int64), lo, dims)
+        keys = key(np.floor(dense / resolution).astype(np.int64))
         run = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
         cells, first = np.unique(keys[run], return_index=True)
         pos = np.searchsorted(seen, cells)
@@ -171,13 +160,22 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     holds every fill point's cell.  The result is exact: a point's cell,
     floor(p / resolution), does not depend on the ranges, and a cell's
     first point overall is the first point in the earliest block that
-    reaches it.  When the ranges' product overflows int64, each block is
-    thinned and merged into the running cloud with _thin instead, which
-    keeps the same first points.
+    reaches it.  The cell keys are chosen once from the ranges
+    (_cell_keys): one int64 per cell while the ranges hold at most 2^63 - 1
+    cells, else each cell's m int64 indices read as one byte record.  The
+    cloud does not depend on which runs: only key equality decides what is
+    kept, and kept points are taken in block order.
 
-    Integration failure is treated as evidence against the boundedness
-    assumption and raised as BoundednessError.
+    A resolution that is neither None nor finite and positive, a negative
+    transient_time, and a thinned cloud with fewer than two retained
+    samples per source raise ConfigError.  Integration failure is treated
+    as evidence against the boundedness assumption and raised as
+    BoundednessError.
     """
+    if resolution is not None and not (math.isfinite(resolution) and resolution > 0):
+        raise ConfigError(f"resolution must be finite and positive, got {resolution!r}")
+    if not transient_time >= 0:
+        raise ConfigError(f"transient_time must be non-negative, got {transient_time!r}")
     if n_sources is None:
         n_sources = sets.n_samples
     rng = np.random.default_rng(sets.seed)
@@ -204,6 +202,9 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
                   sample_time=sample_time, h=h, dt_sample=dt_sample)
     if resolution is None:
         return AttractorEstimate(points=y.reshape(m, -1), block_len=n_ret, **common)
+    if n_ret < 2:
+        raise ConfigError(f"sample_time {sample_time:g} retains {n_ret} sample(s) per "
+                          "source; a thinned cloud needs at least 2")
 
     f = rhs(y.reshape(m, -1)).reshape(y.shape)
     v_max = float(np.max(np.sqrt(np.sum(f ** 2, axis=0))))
@@ -226,14 +227,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
              + 6.0 * dt * np.max(np.abs(f), axis=(1, 2)))
     lo = np.floor((np.min(y, axis=(1, 2)) - reach) / resolution).astype(np.int64) - 1
     hi = np.floor((np.max(y, axis=(1, 2)) + reach) / resolution).astype(np.int64) + 1
-    dims = _key_dims(lo, hi)
-    if dims is not None:
-        cloud = _first_cells(blocks(), resolution, lo, dims)
-    else:
-        cloud = np.empty((m, 0))
-        for dense in blocks():
-            cloud = _thin(np.concatenate([cloud, _thin(dense, resolution)], axis=1),
-                          resolution)
+    cloud = _first_cells(blocks(), resolution, lo, hi)
     return AttractorEstimate(points=cloud, resolution=resolution, **common)
 
 
@@ -663,9 +657,9 @@ def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
 class RunReport:
     """Aggregated regulation metrics over a sampled scenario set, for the
     controller cc that ran.  The integrator's settings and step counts are
-    in trajectory.meta; error is the integration failure's message, with
-    the partial trajectory, or None.  driver_coefficients is the linear
-    baseline's fitted driver, None for any other run."""
+    in trajectory.meta; error is the integration failure's message, or
+    None, and a failed run has no trajectory.  driver_coefficients is the
+    linear baseline's fitted driver, None for any other run."""
 
     cc: ControllerConfig
     t_bar: float | None
@@ -689,19 +683,11 @@ class RunReport:
 
 def _settle_time(t: np.ndarray, abs_e: np.ndarray, eps: float):
     """First time after which |e| stays within eps through the horizon, per
-    run; returns an array with np.nan where a run never settles."""
+    run: t[0] for a run never over eps, NaN for one still over eps at the
+    last sample, else the time after its last sample over eps."""
     over = abs_e > eps
-    n_t, n_runs = abs_e.shape
-    out = np.empty(n_runs)
-    for j in range(n_runs):
-        idx = np.nonzero(over[:, j])[0]
-        if idx.size == 0:
-            out[j] = t[0]
-        elif idx[-1] == n_t - 1:
-            out[j] = np.nan
-        else:
-            out[j] = t[idx[-1] + 1]
-    return out
+    last = over.shape[0] - 1 - np.argmax(over[::-1], axis=0)
+    return np.where(over.any(axis=0), np.append(t, np.nan)[last + 1], t[0])
 
 
 # asymptotic regulation is judged on sup |e| over the last fifth of the horizon
@@ -743,7 +729,7 @@ def regulation_experiment(syn, cc: ControllerConfig, *, eps: float = 1e-2,
     except IntegrationError as exc:
         return RunReport(cc=cc, t_bar=None, tail_sup_e=np.inf, asymptotic=False,
                          fit_e=None, fit_chi=None, fit_dist=None,
-                         trajectory=exc.partial, error=str(exc))
+                         trajectory=None, error=str(exc))
 
     layout = traj.meta["layout"]
     abs_e = np.abs(traj.states[:, layout.e, :])

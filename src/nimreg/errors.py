@@ -29,14 +29,13 @@ class SearchError(NimregError):
 class IntegrationError(NimregError):
     """Integration aborted (divergence past the overflow guard or step underflow).
 
-    ``partial`` holds the trajectory computed so far; ``failed`` is the
-    boolean mask of the batch columns that tripped the guard (0-d for an
-    (m,) state), or None when the run stopped for another reason.
+    ``failed`` is the boolean mask of the batch columns that tripped the
+    guard (0-d for an (m,) state), or None when the run stopped for another
+    reason; ``t_fail`` is the time it stopped at.
     """
 
-    def __init__(self, message, partial=None, failed=None, t_fail=None):
+    def __init__(self, message, failed=None, t_fail=None):
         super().__init__(message)
-        self.partial = partial
         self.failed = failed
         self.t_fail = t_fail
 

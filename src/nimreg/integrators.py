@@ -12,9 +12,9 @@ advance whole batches at once and are bit-reproducible.  The adaptive one is a
 Dormand-Prince 5(4) pair with PI step-size control whose columns share one
 step sequence, accepted or rejected on the worst column.
 
-Both abort with IntegrationError (carrying the partial trajectory) when the
-state magnitude passes the overflow guard; the comparison is written so that
-NaN states also trigger it, and the error marks the columns that tripped it.
+Both abort with IntegrationError when the state magnitude passes the
+overflow guard; the comparison is written so that NaN states also trigger
+it, and the error marks the columns that tripped it and the time.
 """
 
 from __future__ import annotations
@@ -145,12 +145,9 @@ def rk4_fixed(rhs, x0, t_span, h: float = 1e-3, dt_out: float | None = None,
             out[j] = x
             failed = _guard_failed(x, guard)
             if failed.any():
-                t_grid = t0 + (span / n_out) * np.arange(j + 1)
-                partial = Trajectory(t_grid, out[: j + 1],
-                                     {"method": "rk4", "h": h_eff, "n_steps": step + 1})
-                raise IntegrationError(
-                    f"state magnitude exceeded {guard:g} at t={t_grid[-1]:g}",
-                    partial=partial, failed=failed, t_fail=t_grid[-1])
+                t_fail = t0 + (span / n_out) * j
+                raise IntegrationError(f"state magnitude exceeded {guard:g} at t={t_fail:g}",
+                                       failed=failed, t_fail=t_fail)
     t_grid = t0 + (span / n_out) * np.arange(n_out + 1)
     t_grid[-1] = t1
     return Trajectory(t_grid, out,
@@ -259,19 +256,14 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
     mul, add = np.multiply, np.add
     n_accepted = n_rejected = 0
 
-    def _fail(msg, failed=None):
-        partial = Trajectory(t_grid[:next_out].copy(), out[:next_out].copy(),
-                             {"method": "dopri5", "rtol": rtol, "atol": atol})
-        return IntegrationError(msg, partial=partial, failed=failed, t_fail=t)
-
     steps = 0
     with np.errstate(over="ignore", invalid="ignore"):
         while t < t1:
             steps += 1
             if steps > _MAX_STEPS:
-                raise _fail(f"exceeded {_MAX_STEPS} steps")
+                raise IntegrationError(f"exceeded {_MAX_STEPS} steps", t_fail=t)
             if not (h >= 1e-14 * max(1.0, abs(t))):
-                raise _fail(f"step size underflow at t={t:g}")
+                raise IntegrationError(f"step size underflow at t={t:g}", t_fail=t)
             last = t + h >= t1
             if last:
                 h = t1 - t
@@ -306,8 +298,9 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
                 t_new = t1 if last else t + h
                 failed = _guard_failed(x_new, guard)
                 if failed.any():
-                    raise _fail(f"state magnitude exceeded {guard:g} at t={t_new:g}",
-                                failed)
+                    raise IntegrationError(
+                        f"state magnitude exceeded {guard:g} at t={t_new:g}",
+                        failed=failed, t_fail=t)
                 reach = t_new + 1e-14 * max(1.0, abs(t_new))
                 if next_out <= n_out and t_grid[next_out] <= reach:
                     stop = int(np.searchsorted(t_grid, reach, "right"))

@@ -8,6 +8,7 @@ has, and it sums in the oracle's order.
 
 import tracemalloc
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -33,9 +34,10 @@ from nimreg import (
 import nimreg.analysis
 from nimreg.analysis import (
     AttractorEstimate,
-    _key_dims,
+    _cell_keys,
+    _first_cells,
     _nearest,
-    _thin,
+    _settle_time,
     auto_feedback_gain,
     graph_convergence_experiment,
     graph_invariance_experiment,
@@ -45,6 +47,7 @@ from nimreg.analysis import (
 )
 from nimreg.errors import (
     BoundednessError,
+    ConfigError,
     FitError,
     PreconditionError,
     SearchError,
@@ -110,24 +113,43 @@ def test_chunked_cloud_equals_the_one_chunk_cloud(monkeypatch):
     assert np.array_equal(whole.points, chunked.points)
 
 
+def _spy_key_kinds(monkeypatch):
+    """Record the dtype kind of every block's cell keys: "i" for folded
+    int64 keys, "V" for byte records."""
+    kinds = []
+    real = nimreg.analysis._cell_keys
+
+    def spy(lo, hi):
+        key = real(lo, hi)
+
+        def keyed(grid):
+            keys = key(grid)
+            kinds.append(keys.dtype.kind)
+            return keys
+
+        return keyed
+
+    monkeypatch.setattr(nimreg.analysis, "_cell_keys", spy)
+    return kinds
+
+
 def test_key_overflow_fallback_builds_the_streamed_cloud(monkeypatch):
-    # when the fixed key ranges do not fold into int64, each block is thinned
-    # with _thin and merged into the running cloud: the same first points
+    # past _KEY_LIMIT cells each block's keys are byte records, which sort
+    # differently from folded int64 keys: the same one pass keeps the same
+    # first points
     bench = get_benchmark("harmonic")
     sets = bench.scenario_sets(n_samples=3)
     kw = dict(w0_sampler=bench.w0_sampler, transient_time=5.0, sample_time=3.0,
               resolution=2e-3)
-    thinned = []
-    real = nimreg.analysis._thin
-    monkeypatch.setattr(nimreg.analysis, "_thin",
-                        lambda points, res: thinned.append(None) or real(points, res))
+    kinds = _spy_key_kinds(monkeypatch)
     monkeypatch.setattr(nimreg.analysis, "_FILL_POINTS", 200)
-    streamed = estimate_attractor(bench.plant, bench.exo, sets, **kw)
-    assert not thinned
+    folded = estimate_attractor(bench.plant, bench.exo, sets, **kw)
+    assert len(kinds) > 2 * 3 and set(kinds) == {"i"}
+    kinds.clear()
     monkeypatch.setattr(nimreg.analysis, "_KEY_LIMIT", 1)
-    fallback = estimate_attractor(bench.plant, bench.exo, sets, **kw)
-    assert len(thinned) > 2 * 3
-    assert np.array_equal(streamed.points, fallback.points)
+    records = estimate_attractor(bench.plant, bench.exo, sets, **kw)
+    assert len(kinds) > 2 * 3 and set(kinds) == {"V"}
+    assert np.array_equal(folded.points, records.points)
 
 
 # the harmonic fine cloud: one source at resolution 1.5e-5, about 6e5 points
@@ -146,7 +168,7 @@ def _traced_peak(fn):
     return out, peak - start
 
 
-def test_fine_cloud_peak_memory_is_a_few_clouds_and_one_block():
+def _assert_fine_cloud_peak_is_a_few_clouds_and_one_block():
     # kept points, their one concatenation and the sorted cell keys, plus one
     # 2e5-point dense block and its Hermite and key temporaries
     bench = get_benchmark("harmonic")
@@ -157,6 +179,18 @@ def test_fine_cloud_peak_memory_is_a_few_clouds_and_one_block():
     assert n_pts > 500_000
     block = m * 200_000 * 8
     assert peak < 3 * est.points.nbytes + 4 * block
+
+
+def test_fine_cloud_peak_memory_is_a_few_clouds_and_one_block():
+    _assert_fine_cloud_peak_is_a_few_clouds_and_one_block()
+
+
+def test_fine_cloud_on_record_keys_keeps_the_folded_key_bound(monkeypatch):
+    # sorted keys of 8m bytes in place of 8 still fit the same bound
+    monkeypatch.setattr(nimreg.analysis, "_KEY_LIMIT", 1)
+    kinds = _spy_key_kinds(monkeypatch)
+    _assert_fine_cloud_peak_is_a_few_clouds_and_one_block()
+    assert set(kinds) == {"V"}
 
 
 def test_graph_distance_peak_memory_is_one_reference_array(stacks, fine_clouds):
@@ -175,52 +209,107 @@ def test_graph_distance_peak_memory_is_one_reference_array(stacks, fine_clouds):
 
 
 def _thin_by_rows(points, resolution):
-    """Thinning by np.unique over whole key rows: the reference for the
-    folded-key path."""
+    """The first of the (N, m) points in each occupied cell, in input order,
+    by np.unique over whole key rows: the reference for both key kinds."""
     keys = np.floor(points / resolution).astype(np.int64)
     _, idx = np.unique(keys, axis=0, return_index=True)
     return points[np.sort(idx)]
 
 
+def _first_cells_in_blocks(points, resolution, n_blocks):
+    """(_first_cells over the (m, N) points cut into n_blocks blocks, with the
+    ranges of their own cells; the dtype kind of its cell keys)."""
+    grid = np.floor(points / resolution).astype(np.int64)
+    lo, hi = grid.min(axis=1), grid.max(axis=1)
+    kind = _cell_keys(lo, hi)(grid).dtype.kind
+    blocks = np.array_split(points, n_blocks, axis=1)
+    return _first_cells(blocks, resolution, lo, hi), kind
+
+
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(1, 3000), m=st.integers(1, 4),
-       log_res=st.floats(-3.0, 0.0), seed=st.integers(0, 2**32 - 1))
-def test_thin_folded_keys_match_row_unique(n, m, log_res, seed):
-    # key ranges stay below about 3e4 per axis, so the keys fold
+@given(n=st.integers(6, 3000), m=st.integers(1, 6), width=st.integers(1, 300),
+       log_res=st.floats(-3.0, 0.0), n_blocks=st.integers(1, 8),
+       seed=st.integers(0, 2**32 - 1))
+def test_first_cells_on_both_key_kinds_match_row_unique(n, m, width, log_res,
+                                                        n_blocks, seed):
+    # at most 2 width + 2 cells per axis, so the keys fold, until _KEY_LIMIT
+    # is cut to 0; the points of every third one repeated at the end put
+    # cells of the first blocks into the last
     rng = np.random.default_rng(seed)
-    points = rng.normal(size=(n, m)) * rng.uniform(0.1, 3.0, size=m)
     resolution = 10.0 ** log_res
-    grid = np.floor(points.T / resolution).astype(np.int64)
-    assert _key_dims(grid.min(axis=1), grid.max(axis=1)) is not None
-    np.testing.assert_array_equal(_thin(points.T, resolution),
-                                  _thin_by_rows(points, resolution).T)
+    cells = rng.integers(-width, width, size=(n, m)) + rng.uniform(size=(n, m))
+    points = cells * resolution
+    points = np.concatenate([points, points[::3]])
+    expected = _thin_by_rows(points, resolution).T
+    folded, kind = _first_cells_in_blocks(points.T, resolution, n_blocks)
+    assert kind == "i"
+    np.testing.assert_array_equal(folded, expected)
+    with mock.patch.object(nimreg.analysis, "_KEY_LIMIT", 0):
+        records, kind = _first_cells_in_blocks(points.T, resolution, n_blocks)
+    assert kind == "V"
+    np.testing.assert_array_equal(records, expected)
 
 
-def test_thin_falls_back_to_row_unique_when_keys_overflow():
+def test_first_cells_use_record_keys_when_the_cells_overflow_int64():
     rng = np.random.default_rng(3)
     points = rng.uniform(-1e5, 1e5, size=(500, 4))
     points = np.concatenate([points, points[::7]])
     resolution = 1e-6
     # per-axis key ranges of about 2e11: their product overflows int64
-    grid = np.floor(points.T / resolution).astype(np.int64)
-    assert _key_dims(grid.min(axis=1), grid.max(axis=1)) is None
-    thinned = _thin(points.T, resolution)
-    assert thinned.shape == (4, 500)
-    np.testing.assert_array_equal(thinned, _thin_by_rows(points, resolution).T)
+    cloud, kind = _first_cells_in_blocks(points.T, resolution, 3)
+    assert kind == "V"
+    assert cloud.shape == (4, 500)
+    np.testing.assert_array_equal(cloud, _thin_by_rows(points, resolution).T)
+
+
+def _stationary(n):
+    """Zero dynamics at rest everywhere: z' = 0 in n axes, w' = 0."""
+    plant = PlantSpec(n=n, f0=lambda z, w: tuple(0.0 * zi for zi in z),
+                      f1=lambda z, e, w: (0.0,), q=lambda z, e, w: e)
+    exo = ExosystemSpec(r=1, s=lambda w: (0.0 * w[0],), w_box=[[-1.0, 1.0]])
+    return plant, exo
 
 
 def test_stationary_zero_dynamics_cloud_is_the_thinned_sources():
     # zero speed everywhere: one sub-position per interval, and every
     # retained sample is its source
-    plant = PlantSpec(n=1, f0=lambda z, w: (0.0 * z[0],),
-                      f1=lambda z, e, w: (0.0,), q=lambda z, e, w: e)
-    exo = ExosystemSpec(r=1, s=lambda w: (0.0 * w[0],), w_box=[[-1.0, 1.0]])
+    plant, exo = _stationary(1)
     sets = ScenarioSets(z_box=[[-1.0, 1.0]], e_interval=[-0.1, 0.1], n_samples=30)
     resolution = 0.2
     est = estimate_attractor(plant, exo, sets, transient_time=1.0,
                              sample_time=0.5, resolution=resolution)
-    np.testing.assert_array_equal(est.points, _thin(est.sources, resolution))
+    np.testing.assert_array_equal(est.points,
+                                  _thin_by_rows(est.sources.T, resolution).T)
     assert est.points.shape[1] < est.n_sources
+
+
+def test_cloud_past_the_int64_cell_limit_is_the_thinned_sources():
+    # four z axes of about 2e7 cells each: far past 2^63 cells, so the keys
+    # are byte records with nothing patched
+    plant, exo = _stationary(4)
+    sets = ScenarioSets(z_box=[[-1e3, 1e3]] * 4, e_interval=[-0.1, 0.1],
+                        n_samples=30)
+    resolution = 1e-4
+    est = estimate_attractor(plant, exo, sets, transient_time=1.0,
+                             sample_time=0.5, resolution=resolution)
+    assert np.prod(np.ptp(est.sources[:4], axis=1) / resolution) > 2.0 ** 63
+    np.testing.assert_array_equal(est.points,
+                                  _thin_by_rows(est.sources.T, resolution).T)
+
+
+@pytest.mark.parametrize("bad", [
+    dict(resolution=0.0), dict(resolution=-1e-3), dict(resolution=float("nan")),
+    dict(resolution=float("inf")), dict(transient_time=-1.0),
+    # one retained sample per source: nothing to fill between
+    dict(transient_time=2.0, sample_time=1e-3),
+])
+def test_bad_cloud_settings_raise_config_error(bad):
+    bench = get_benchmark("harmonic")
+    kw = dict(w0_sampler=bench.w0_sampler, n_sources=2, transient_time=2.0,
+              sample_time=1.0)
+    with pytest.raises(ConfigError):
+        estimate_attractor(bench.plant, bench.exo, bench.scenario_sets(),
+                           **{**kw, **bad})
 
 
 def test_estimate_attractor_raises_boundedness():
@@ -492,6 +581,35 @@ def test_fit_linear_driver_harmonic_is_identity_row(stacks):
 def _runs(syn, n_runs: int):
     """syn with n_runs scenarios, drawn from its own seed."""
     return replace(syn, sets=replace(syn.sets, n_samples=n_runs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_t=st.integers(1, 30), n_runs=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_settle_time_matches_a_per_run_loop(n_t, n_runs, seed):
+    rng = np.random.default_rng(seed)
+    t = np.cumsum(rng.uniform(0.1, 1.0, n_t))
+    # mostly settled tails, with runs never over eps and runs over at the end
+    abs_e = rng.uniform(0.0, 2.0, (n_t, n_runs)) * (rng.uniform(size=(n_t, 1)) < 0.5)
+    expected = []
+    for j in range(n_runs):
+        over = np.flatnonzero(abs_e[:, j] > 1.0)
+        if over.size == 0:
+            expected.append(t[0])
+        elif over[-1] == n_t - 1:
+            expected.append(np.nan)
+        else:
+            expected.append(t[over[-1] + 1])
+    np.testing.assert_array_equal(_settle_time(t, abs_e, 1.0), expected)
+
+
+def test_failed_regulation_reports_the_error_without_a_trajectory(stacks):
+    s = stacks("harmonic")
+    gd = design_gains(2, 4.0, lipschitz=s.im.driver.L)
+    cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
+    rep = regulation_experiment(_runs(s, 3), cc, horizon=5.0, guard=2.5)
+    assert rep.error.startswith("state magnitude exceeded 2.5 at t=")
+    assert rep.trajectory is None and not rep.passed
 
 
 def test_invariance_requires_matched_cloud(stacks):

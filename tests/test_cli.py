@@ -113,6 +113,21 @@ def test_mu_sweep_requires_vdp(tmp_path):
                  "--benchmark", "harmonic", "--out-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--resolution", "0"],
+    ["verify", "--resolution", "-0.001"],
+    ["verify", "--resolution", "nan"],
+    ["verify", "--transient-time", "-1"],
+    # one retained sample per source leaves nothing to thin
+    ["run", "--sample-time", "0.001"],
+])
+def test_bad_cloud_settings_exit_two(tmp_path, capsys, argv):
+    extra = ["--out-dir", str(tmp_path)] if argv[0] == "run" else []
+    assert main(argv + ["--benchmark", "harmonic"] + extra) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 # run outputs ----------------------------------------------------------------------
 
 QUICK_STATIC = ["--benchmark", "static", "--kappa", "1.5", "--k", "2",

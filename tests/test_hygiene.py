@@ -1,7 +1,9 @@
 """Every import in the package, the tests and the scripts is used, every
 private top-level name of the package is read somewhere, and so is every
-field of a package dataclass.  Package dataclasses are frozen, and the
-package writes into no record field after the record is built.
+field of a package dataclass.  Every function and class of the package, and
+every public method, is used outside the tests.  Package dataclasses are
+frozen, and the package writes into no record field after the record is
+built.
 
 A name bound by an import counts as used when the module reads it anywhere,
 names it in a string annotation, or lists it in __all__.  A private name
@@ -9,10 +11,15 @@ names it in a string annotation, or lists it in __all__.  A private name
 as read when a file in the package, the tests or the scripts loads it as a
 name or an attribute, or imports it.  A dataclass field counts as read when
 a file in the package, the tests, the scripts or perfbench loads it as an
-attribute.
+attribute.  A top-level function or class of the package, or a public method
+of a top-level class, counts as used when a file in the package, the scripts
+or perfbench loads it as a name or an attribute, or names it as the last
+part of a dotted string (the benchmark tracer's targets); the package's
+re-exports and the tests do not count.
 """
 
 import ast
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -93,17 +100,30 @@ def private_definitions(source: str) -> list:
     return found
 
 
+def _loads(tree) -> set:
+    """Names and attributes the tree loads."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
+
+
 def names_read(source: str) -> set:
     """Names the module loads, attributes it loads, and names it imports."""
-    read = set()
-    for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            read.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            read.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            read.update(alias.name for alias in node.names)
-    return read
+    tree = ast.parse(source)
+    return _loads(tree) | {alias.name for node in ast.walk(tree)
+                           if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
+_DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+")
+
+
+def names_used(source: str) -> set:
+    """Names the module loads, attributes it loads, and the last part of
+    every dotted string it holds (the benchmark tracer's targets)."""
+    tree = ast.parse(source)
+    return _loads(tree) | {node.value.rsplit(".", 1)[1] for node in ast.walk(tree)
+                           if isinstance(node, ast.Constant)
+                           and isinstance(node.value, str) and _DOTTED.fullmatch(node.value)}
 
 
 def test_private_checker_counts_loads_attributes_and_imports():
@@ -131,6 +151,58 @@ def test_no_unread_private_names():
              for line, name in private_definitions(path.read_text())
              if name not in read]
     assert not found, "private names nothing reads:\n" + "\n".join(found)
+
+
+def definitions(source: str) -> list:
+    """(line, label, name) of every top-level function and class of the
+    module, and of every public method of its top-level classes."""
+    found = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            found.append((node.lineno, node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            found += [(sub.lineno, f"{node.name}.{sub.name}", sub.name)
+                      for sub in node.body
+                      if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                      and not sub.name.startswith("_")]
+    return found
+
+
+def test_use_checker_counts_loads_and_dotted_strings_only():
+    package = (
+        "from .other import helper\n"
+        "__all__ = ['traced']\n"
+        "def used():\n"
+        "    return helper()\n"
+        "def traced():\n"
+        "    pass\n"
+        "def imported_only():\n"
+        "    pass\n"
+        "class Record:\n"
+        "    def public(self):\n"
+        "        return used()\n"
+        "    def unread(self):\n"
+        "        pass\n"
+        "    def _private(self):\n"
+        "        pass\n"
+    )
+    other = ("from pkg.mod import imported_only, Record\n"
+             "Record().public()\n"
+             "TARGETS = ('mod.traced', 'not dotted.unread')\n")
+    used = names_used(package) | names_used(other)
+    assert [(line, label) for line, label, name in definitions(package)
+            if name not in used] == [(7, "imported_only"), (12, "Record.unread")]
+
+
+def test_package_code_is_used_outside_the_tests():
+    users = sorted(p for d in ("src/nimreg", "scripts", "perfbench")
+                   for p in (ROOT / d).glob("*.py"))
+    used = set().union(*(names_used(path.read_text()) for path in users))
+    found = [f"{path.relative_to(ROOT)}:{line}: {label}"
+             for path in FILES if path.parent.name == "nimreg"
+             for line, label, name in definitions(path.read_text())
+             if name not in used]
+    assert not found, "package code only the tests use:\n" + "\n".join(found)
 
 
 def _is_dataclass(decorator) -> bool:
