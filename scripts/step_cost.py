@@ -7,9 +7,9 @@ the zero dynamics, the observer cascade and the closed loop on fixed-step
 RK4 (h = 1e-3, dt_out = 0.01) at 1, 6, 20 and 50 columns, and for the closed
 loop on dopri5 at 4 columns over a horizon of 0.03 * steps (per attempted
 step).  Each row ends with a hash of the run's final state, so that two
-checkouts can be compared bit for bit.  The controller runs at kappa = 63.45
-and k = 127.9, the vdp kappa* and automatic k of the default run; its
-saturation box is the benchmark's tau image over the reference cycle.
+checkouts can be compared bit for bit.  The controller is the synthesis of
+the default run (synthesize over the benchmark's default scenario sets), at
+kappa = 63.45 and k = 127.9, the vdp kappa* and automatic k of that run.
 """
 
 import argparse
@@ -18,10 +18,9 @@ import time
 
 import numpy as np
 
-from nimreg import (ControllerConfig, InternalModel, build_tau, design_gains,
-                    get_benchmark, run_closed_loop, saturate)
-from nimreg.bench import reference_cycle
-from nimreg.dynsys import inflate_box, zero_dynamics_rhs
+from nimreg import (ControllerConfig, design_gains, get_benchmark, run_closed_loop,
+                    synthesize)
+from nimreg.dynsys import zero_dynamics_rhs
 from nimreg.integrators import rk4_fixed
 from nimreg.sim import run_observer_cascade
 
@@ -32,13 +31,8 @@ DOPRI5_WIDTH = 4
 
 
 def _controller(bench) -> ControllerConfig:
-    tau = build_tau(bench.plant, bench.exo, bench.d)
-    w = reference_cycle(bench.mu).states.T
-    vals = tau(np.concatenate([np.zeros((bench.plant.n, w.shape[1])), w]))
-    extent = np.column_stack([vals.min(axis=1), vals.max(axis=1)])
-    driver = saturate(bench.f, inflate_box(extent, 0.25))
-    im = InternalModel(d=bench.d, driver=driver)
-    return ControllerConfig(im=im, gd=design_gains(bench.d, KAPPA, lipschitz=driver.L), k=K)
+    im = synthesize(bench, bench.scenario_sets()).im
+    return ControllerConfig(im=im, gd=design_gains(im.d, KAPPA, lipschitz=im.driver.L), k=K)
 
 
 def _starts(bench, cc, width: int, seed: int):

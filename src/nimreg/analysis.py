@@ -235,8 +235,8 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
 _PAIR_CHUNK = 32768
 # sorted neighbours whose exact value bounds a query's search window
 _SEED = 16
-# cloud columns per tail evaluation: bounds the jets' temporaries
-_TAIL_BLOCK = 65536
+# columns tau sees at once (_nearest, _chi_norms): bounds the jets' temporaries
+_TAU_BLOCK = 65536
 
 
 def _nearest(queries: np.ndarray, points: np.ndarray, tail=None) -> np.ndarray:
@@ -251,7 +251,7 @@ def _nearest(queries: np.ndarray, points: np.ndarray, tail=None) -> np.ndarray:
     Exact projection search (Friedman, Baskett & Shustek, IEEE Trans.
     Computers 1975).  The cloud's columns are sorted once along its widest
     axis into one preallocated (M, N) reference array: its rows taken in
-    that order, the tail rows evaluated over blocks of _TAIL_BLOCK sorted
+    that order, the tail rows evaluated over blocks of _TAU_BLOCK sorted
     columns, so no copy of the cloud or of its whole tail exists besides
     it.  A query's exact value at its _SEED sorted neighbours is an upper
     bound ub on its minimum.  The sum is at least the first term, which is
@@ -267,8 +267,8 @@ def _nearest(queries: np.ndarray, points: np.ndarray, tail=None) -> np.ndarray:
         np.take(row, order, out=out, mode="clip")
     del order
     if tail is not None:
-        for a in range(0, n_pts, _TAIL_BLOCK):
-            refs[m:, a:a + _TAIL_BLOCK] = tail(refs[:m, a:a + _TAIL_BLOCK])
+        for a in range(0, n_pts, _TAU_BLOCK):
+            refs[m:, a:a + _TAU_BLOCK] = tail(refs[:m, a:a + _TAU_BLOCK])
     key = refs[axis]
     cols = [0, m, queries.shape[0]] if tail is not None else [0, m]
     x = queries[axis]
@@ -436,14 +436,10 @@ def _coverage_floor(est: AttractorEstimate) -> float:
 
 def _graph_states(traj: Trajectory, rows=slice(None)) -> np.ndarray:
     """Stack [z; w; xi] query columns for every (time, run) pair of the
-    selected time rows; column t * batch + run."""
+    selected time rows of a batch trajectory; column t * batch + run."""
     layout = traj.meta["layout"]
-    slots = [i for part in (layout.z, layout.w, layout.xi)
-             for i in range(part.start, part.stop)]
-    states = traj.states[rows]
-    if states.ndim == 2:
-        states = states[:, :, None]
-    return states[:, slots, :].transpose(1, 0, 2).reshape(len(slots), -1)
+    slots = np.r_[layout.z, layout.w, layout.xi]
+    return traj.states[rows][:, slots, :].transpose(1, 0, 2).reshape(slots.size, -1)
 
 
 def _distance_curve(tau: TauChain, est: AttractorEstimate, traj: Trajectory,
@@ -480,12 +476,18 @@ def _matched_starts(est: AttractorEstimate, horizon: float, n_runs: int) -> np.n
 
 
 def _chi_norms(tau: TauChain, traj: Trajectory) -> np.ndarray:
-    """|xi - tau(z, w)| along a trajectory; shape (n_pts,) or (n_pts, batch)."""
-    q = _graph_states(traj)
-    nr = q.shape[0] - traj.meta["layout"].d
-    chi = q[nr:] - tau(q[:nr])
-    norms = np.sqrt(np.sum(chi ** 2, axis=0)).reshape(traj.t.size, -1)
-    return norms if traj.states.ndim == 3 else norms[:, 0]
+    """|xi - tau(z, w)| along a batch trajectory, shape (n_pts, batch), over
+    blocks of max(1, _TAU_BLOCK // batch) time rows (jets work column by
+    column, so the blocks do not change a value)."""
+    layout, batch = traj.meta["layout"], traj.states.shape[2]
+    nr = layout.n + layout.r
+    step = max(1, _TAU_BLOCK // batch)
+    norms = np.empty((traj.t.size, batch))
+    for a in range(0, traj.t.size, step):
+        q = _graph_states(traj, slice(a, a + step))
+        chi = q[nr:] - tau(q[:nr])
+        norms[a:a + step] = np.sqrt(np.sum(chi ** 2, axis=0)).reshape(-1, batch)
+    return norms
 
 
 _PROBE_RUNS = 20
@@ -534,8 +536,12 @@ def graph_invariance_experiment(plant, exo, im, tau, est, G, *,
     line up with retained samples; anything else measures cloud coverage."""
     zw0 = _matched_starts(est, horizon, n_runs)
     x0 = np.concatenate([zw0, tau(zw0)], axis=0)
-    traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
-                                h=est.h, dt_out=est.dt_sample)
+    try:
+        traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
+                                    h=est.h, dt_out=est.dt_sample)
+    except IntegrationError as exc:
+        return GraphReport(max_distance=np.inf, terminal_distance=np.inf,
+                           tol=tol, error=str(exc))
     dist = _distance_curve(tau, est, traj)
     return GraphReport(max_distance=float(np.max(dist)),
                        terminal_distance=float(np.max(dist[-1])),
@@ -581,9 +587,8 @@ def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
         traj = run_observer_cascade(plant, exo, im, G, x0, (0.0, horizon),
                                     dt_out=_HEAD_DT)
     except IntegrationError as exc:
-        return GraphReport(max_distance=np.inf,
-                           terminal_distance=np.inf, tol=tol,
-                           error=f"integration failed at t={exc.t_fail:g}")
+        return GraphReport(max_distance=np.inf, terminal_distance=np.inf,
+                           tol=tol, error=str(exc))
     rows, _ = _check_rows(traj.t, _HEAD_DT)
     ref = est if curve_est is None else curve_est
     dist = _distance_curve(tau, ref, traj, rows)
@@ -595,57 +600,65 @@ def graph_convergence_experiment(plant, exo, im, tau, est, G, sets, *,
 _ALPHA_REQ = 0.5
 _SPREAD_FACTOR = 2.0
 _PERTURB_T_MIN = 1.0
+# kick sizes, one decay rate each
+_PERTURB_SIZES = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 @dataclass(frozen=True)
 class PerturbationReport:
+    """A decay rate per kick size, None where too few samples cleared the
+    floor; error is the integration failure's message, or None."""
+
     rates: list
+    error: str | None = None
 
     @property
     def passed(self) -> bool:
-        if any(r is None for r in self.rates):
+        if self.error is not None or any(r is None for r in self.rates):
             return False
         return (min(self.rates) >= _ALPHA_REQ
                 and max(self.rates) <= _SPREAD_FACTOR * min(self.rates))
 
 
 def perturbation_decay_experiment(plant, exo, im, tau, est, G, *,
-                                  sizes=(1e-1, 1e-2, 1e-3, 1e-4),
                                   n_runs: int = 20, horizon: float = 15.0,
                                   seed: int = 0) -> PerturbationReport:
-    """Local attractiveness probe: kick z and xi off the graph by geometric
-    sizes and compare fitted decay rates of the graph distance.
+    """Local attractiveness probe: kick z and xi off the graph by the
+    geometric sizes _PERTURB_SIZES and compare fitted decay rates of the
+    graph distance.
 
     w stays on the admissible set; the perturbation lives in the transverse
     (z, xi) directions only.  A kick must stay inside the driver's
     saturation box im.driver.s_box.  Every size's n_runs kicked starts ride
-    in one batch of len(sizes) * n_runs columns; each size's rate is fitted
-    on its own column slice."""
+    in one batch of len(_PERTURB_SIZES) * n_runs columns; each size's rate
+    is fitted on its own column slice."""
     zw0 = _matched_starts(est, horizon, n_runs)
     s_box = im.driver.s_box
     half_width = 0.5 * (s_box[:, 1] - s_box[:, 0])
-    for size in sizes:
-        if size / 2.0 >= float(np.min(half_width)):
-            raise PreconditionError(
-                f"perturbation {size:g} exceeds the xi sample box; out of scope")
+    if max(_PERTURB_SIZES) / 2.0 >= float(np.min(half_width)):
+        raise PreconditionError(f"perturbation {max(_PERTURB_SIZES):g} exceeds "
+                                "the xi sample box; out of scope")
     n = plant.n
     xi_base = tau(zw0)
     rng = np.random.default_rng(seed + 77)
     starts = []
-    for size in sizes:
+    for size in _PERTURB_SIZES:
         u_z = rng.standard_normal((n, n_runs))
         u_z /= np.sqrt(np.sum(u_z ** 2, axis=0, keepdims=True))
         u_xi = rng.standard_normal((im.d, n_runs))
         u_xi /= np.sqrt(np.sum(u_xi ** 2, axis=0, keepdims=True))
         starts.append(np.concatenate([zw0[:n] + 0.5 * size * u_z, zw0[n:],
                                       xi_base + 0.5 * size * u_xi], axis=0))
-    traj = run_observer_cascade(plant, exo, im, G, np.concatenate(starts, axis=1),
-                                (0.0, horizon), h=est.h, dt_out=est.dt_sample)
+    try:
+        traj = run_observer_cascade(plant, exo, im, G, np.concatenate(starts, axis=1),
+                                    (0.0, horizon), h=est.h, dt_out=est.dt_sample)
+    except IntegrationError as exc:
+        return PerturbationReport(rates=[None] * len(_PERTURB_SIZES), error=str(exc))
     dist = _distance_curve(tau, est, traj)
     # skip the fast observer mode; the floor scales with the kick
     fits = [_median_fit(traj.t, dist[:, i * n_runs:(i + 1) * n_runs],
                         t_min=_PERTURB_T_MIN, floor=size * 1e-3)
-            for i, size in enumerate(sizes)]
+            for i, size in enumerate(_PERTURB_SIZES)]
     rates = [None if fit is None else fit.alpha for fit in fits]
     return PerturbationReport(rates=rates)
 
@@ -665,10 +678,10 @@ class RunReport:
     t_bar: float | None
     tail_sup_e: float
     asymptotic: bool
-    fit_e: DecayFit | None
-    fit_chi: DecayFit | None
-    fit_dist: DecayFit | None
-    trajectory: Trajectory | None
+    fit_e: DecayFit | None = None
+    fit_chi: DecayFit | None = None
+    fit_dist: DecayFit | None = None
+    trajectory: Trajectory | None = None
     error: str | None = None
     driver_coefficients: np.ndarray | None = None
 
@@ -728,8 +741,7 @@ def regulation_experiment(syn, cc: ControllerConfig, *, eps: float = 1e-2,
                                method=method, dt_out=dt_out, guard=guard, **step)
     except IntegrationError as exc:
         return RunReport(cc=cc, t_bar=None, tail_sup_e=np.inf, asymptotic=False,
-                         fit_e=None, fit_chi=None, fit_dist=None,
-                         trajectory=None, error=str(exc))
+                         error=str(exc))
 
     layout = traj.meta["layout"]
     abs_e = np.abs(traj.states[:, layout.e, :])
@@ -764,9 +776,10 @@ def fit_linear_driver(tau: TauChain, est: AttractorEstimate) -> np.ndarray:
 
 def linear_baseline_experiment(syn, gd=None, k: float | None = None,
                                **run) -> RunReport:
-    """Swap syn's driver for its best linear fit over syn.est and rerun
-    regulation; the keywords (eps, horizon, method, dt_out, ...) go to
-    regulation_experiment unchanged and default as there.
+    """Swap syn's driver for its best linear fit over syn.est, saturated on
+    the same box (syn.im.driver.s_box), and rerun regulation; the keywords
+    (eps, horizon, method, dt_out, ...) go to regulation_experiment unchanged
+    and default as there.
 
     Defaults to mild comparator gains (kappa 2, k_bar 5).  Feedback
     attenuation of a feedforward mismatch grows roughly like kappa^2 * k_bar,
@@ -788,7 +801,7 @@ def linear_baseline_experiment(syn, gd=None, k: float | None = None,
             acc = acc + coef[i] * eta[i]
         return acc
 
-    driver = saturate(f_lin, *_tau_image(tau, est))
+    driver = saturate(f_lin, syn.im.driver.s_box)
     im_lin = InternalModel(d=tau.d, driver=driver)
     cc = ControllerConfig(im=im_lin, gd=gd, k=k)
     return replace(regulation_experiment(syn, cc, **run), driver_coefficients=coef)

@@ -134,25 +134,31 @@ def _cycle_sampler(mu: float):
 # benchmark definitions -----------------------------------------------------------
 
 
-def _harmonic() -> Benchmark:
-    exo = ExosystemSpec(r=2, s=lambda w: (w[1], -w[0]),
-                        w_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]))
+def _driven(name: str, exo: ExosystemSpec, f, **rest) -> Benchmark:
+    """A d = 2 benchmark on the plant that harmonic and vdp share,
+    z' = -z + w_1 + 0.1 e and e' = w_1 + e z + u, with z0 in [-2, 2] and e0
+    in [-0.5, 0.5]."""
     plant = PlantSpec(n=1,
                       f0=lambda z, w: (-z[0] + w[0],),
                       f1=lambda z, zeta, w: (0.1,),
                       q=lambda z, zeta, w: w[0] + zeta * z[0])
+    return Benchmark(name=name, plant=plant, exo=exo, d=2, f=f,
+                     z_box=np.array([[-2.0, 2.0]]),
+                     e_interval=np.array([[-0.5, 0.5]]),
+                     exp_attractive=True, **rest)
+
+
+def _harmonic() -> Benchmark:
+    exo = ExosystemSpec(r=2, s=lambda w: (w[1], -w[0]),
+                        w_box=np.array([[-1.0, 1.0], [-1.0, 1.0]]))
 
     def sampler(count, rng):
         theta = rng.uniform(0.0, 2.0 * np.pi, size=count)
         return np.stack([np.cos(theta), np.sin(theta)])
 
-    return Benchmark(name="harmonic", plant=plant, exo=exo, d=2,
-                     f=lambda eta: eta[0],
-                     z_box=np.array([[-2.0, 2.0]]),
-                     e_interval=np.array([[-0.5, 0.5]]),
-                     exp_attractive=True, linear_baseline_pass=True,
-                     w0_sampler=sampler,
-                     notes="sinusoidal exogenous signal; driver is linear")
+    return _driven("harmonic", exo, lambda eta: eta[0],
+                   linear_baseline_pass=True, w0_sampler=sampler,
+                   notes="sinusoidal exogenous signal; driver is linear")
 
 
 def _vdp(mu: float = 1.0) -> Benchmark:
@@ -165,21 +171,14 @@ def _vdp(mu: float = 1.0) -> Benchmark:
     exo = ExosystemSpec(r=2,
                         s=lambda w: (w[1], mu_ * (one - w[0] ** 2) * w[1] - w[0]),
                         w_box=inflate_box(extent, 0.05))
-    plant = PlantSpec(n=1,
-                      f0=lambda z, w: (-z[0] + w[0],),
-                      f1=lambda z, zeta, w: (0.1,),
-                      q=lambda z, zeta, w: w[0] + zeta * z[0])
 
     def f(eta):
         a, b = eta[0], eta[1]
         return neg_mu * (one - a * a) * b + a
 
-    return Benchmark(name="vdp", plant=plant, exo=exo, d=2, f=f,
-                     z_box=np.array([[-2.0, 2.0]]),
-                     e_interval=np.array([[-0.5, 0.5]]),
-                     exp_attractive=True, linear_baseline_pass=False,
-                     w0_sampler=_cycle_sampler(mu), mu=mu,
-                     notes="relaxation oscillation; driver genuinely nonlinear")
+    return _driven("vdp", exo, f, linear_baseline_pass=False,
+                   w0_sampler=_cycle_sampler(mu), mu=mu,
+                   notes="relaxation oscillation; driver genuinely nonlinear")
 
 
 def _static() -> Benchmark:
@@ -198,17 +197,15 @@ def _static() -> Benchmark:
                      notes="pure stabilization smoke test; tau is identically zero")
 
 
+_BUILDERS = {"harmonic": _harmonic, "vdp": _vdp, "static": _static}
+
+
 def registry() -> list:
     """All benchmarks, cheapest first."""
-    return [_harmonic(), _vdp(), _static()]
+    return [build() for build in _BUILDERS.values()]
 
 
 def get_benchmark(name: str, mu: float | None = None) -> Benchmark:
-    if name == "harmonic":
-        return _harmonic()
-    if name == "vdp":
-        return _vdp(1.0 if mu is None else mu)
-    if name == "static":
-        return _static()
-    raise ConfigError(f"unknown benchmark {name!r}; "
-                      "choose from harmonic, vdp, static")
+    if name not in _BUILDERS:
+        raise ConfigError(f"unknown benchmark {name!r}; choose from {', '.join(_BUILDERS)}")
+    return _vdp(mu) if name == "vdp" and mu is not None else _BUILDERS[name]()

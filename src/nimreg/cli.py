@@ -196,14 +196,12 @@ def write_trajectory_csv(path: Path, pipe: Pipeline, report) -> None:
     traj = report.trajectory
     layout = traj.meta["layout"]
     states = traj.states[:, :, 0]
-    run0 = replace(traj, states=states)
+    run0 = replace(traj, states=traj.states[:, :, :1])  # run 0 as a batch
     e = states[:, layout.e]
     v = -report.cc.k * e
-    u = states[:, layout.xi.start] + v
-    z = states[:, layout.z]
-    w = states[:, layout.w]
-    xi = states[:, layout.xi]
-    chi = analysis._chi_norms(pipe.syn.tau, run0)
+    z, w, xi = (states[:, part] for part in (layout.z, layout.w, layout.xi))
+    u = xi[:, 0] + v
+    chi = analysis._chi_norms(pipe.syn.tau, run0)[:, 0]
     gdist = analysis._distance_curve(pipe.syn.tau, pipe.syn.est, run0)[:, 0]
     header = (["t", "e", "u", "v"]
               + [f"z_{i + 1}" for i in range(z.shape[1])]

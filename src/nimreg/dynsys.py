@@ -132,6 +132,8 @@ class ScenarioSets:
         object.__setattr__(self, "e_interval", e)
         if self.n_samples < 1:
             raise ConfigError("n_samples must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
     def sample(self, exo: ExosystemSpec, rng: np.random.Generator, count: int,
                w0_sampler: Callable | None = None, xi_box=None):

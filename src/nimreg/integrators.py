@@ -78,6 +78,24 @@ def _span(t_span) -> tuple[float, float]:
     return t0, t1
 
 
+def _start(x0, t0: float, t1: float, n_out: int, guard: float):
+    """(x, t_grid, out): the float copy of x0, n_out equal steps from t0 to
+    exactly t1, and the output array with x in row 0.  A guard not > 0 raises
+    ConfigError, an x0 past it IntegrationError."""
+    if not guard > 0:
+        raise ConfigError(f"overflow guard must be > 0, got {guard!r}")
+    x = np.array(x0, dtype=float)
+    failed = _guard_failed(x, guard)
+    if failed.any():
+        raise IntegrationError("initial state exceeds overflow guard",
+                               failed=failed, t_fail=t0)
+    t_grid = t0 + ((t1 - t0) / n_out) * np.arange(n_out + 1)
+    t_grid[-1] = t1
+    out = np.empty((n_out + 1,) + x.shape)
+    out[0] = x
+    return x, t_grid, out
+
+
 def rk4_fixed(rhs, x0, t_span, h: float = 1e-3, dt_out: float | None = None,
               guard: float = DEFAULT_GUARD) -> Trajectory:
     """Classical fourth-order Runge-Kutta with a fixed step.
@@ -91,24 +109,14 @@ def rk4_fixed(rhs, x0, t_span, h: float = 1e-3, dt_out: float | None = None,
     span = t1 - t0
     if h <= 0:
         raise ConfigError("step size must be positive")
-    if dt_out is None:
-        stride = 1
-        n_out = max(1, round(span / h))
-    else:
-        if dt_out <= 0:
-            raise ConfigError("dt_out must be positive")
-        stride = max(1, round(dt_out / h))
-        n_out = max(1, round(span / (stride * h)))
+    if dt_out is not None and dt_out <= 0:
+        raise ConfigError("dt_out must be positive")
+    stride = 1 if dt_out is None else max(1, round(dt_out / h))
+    n_out = max(1, round(span / (stride * h)))
     n_steps = n_out * stride
     h_eff = span / n_steps
 
-    x = np.array(x0, dtype=float)
-    out = np.empty((n_out + 1,) + x.shape)
-    out[0] = x
-    failed = _guard_failed(x, guard)
-    if failed.any():
-        raise IntegrationError("initial state exceeds overflow guard",
-                               failed=failed, t_fail=t0)
+    x, t_grid, out = _start(x0, t0, t1, n_out, guard)
     # stage buffers; xs starts as x0, so a bind-time evaluation sees a state
     xs = x.copy()
     k1, k2, k3, k4, acc = (np.empty_like(x) for _ in range(5))
@@ -148,8 +156,6 @@ def rk4_fixed(rhs, x0, t_span, h: float = 1e-3, dt_out: float | None = None,
                 t_fail = t0 + (span / n_out) * j
                 raise IntegrationError(f"state magnitude exceeded {guard:g} at t={t_fail:g}",
                                        failed=failed, t_fail=t_fail)
-    t_grid = t0 + (span / n_out) * np.arange(n_out + 1)
-    t_grid[-1] = t1
     return Trajectory(t_grid, out,
                       {"method": "rk4", "h": h_eff, "n_steps": n_steps,
                        "n_rejected": 0})
@@ -215,26 +221,16 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
     depend on dt_out, so neither does the final state.
     """
     t0, t1 = _span(t_span)
-    x = np.array(x0, dtype=float)
-    failed = _guard_failed(x, guard)
-    if failed.any():
-        raise IntegrationError("initial state exceeds overflow guard",
-                               failed=failed, t_fail=t0)
-
     if dt_out <= 0:
         raise ConfigError("dt_out must be positive")
     n_out = max(1, round((t1 - t0) / dt_out))
-    t_grid = t0 + ((t1 - t0) / n_out) * np.arange(n_out + 1)
-    t_grid[-1] = t1
-    out = np.empty((n_out + 1,) + x.shape)
-    out[0] = x
+    x, t_grid, out = _start(x0, t0, t1, n_out, guard)
     next_out = 1
 
     # PI controller constants as in Hairer's dopri5.
     safe, beta = 0.9, 0.04
     expo1 = 0.2 - beta * 0.75
     facc1, facc2 = 1.0 / 0.2, 1.0 / 10.0
-    facold = 1e-4
 
     # stage buffers: k[i] holds the field at stage i, xs a stage's input
     # (x0 at first, so a bind-time evaluation sees a state), stage the sum

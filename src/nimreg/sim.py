@@ -14,9 +14,10 @@ State layouts, by slot order:
     closed loop            [z (n), e, w (r), xi (d)]
 
 The closed loop and the cascade are bound fields (dynsys.Field): binding
-takes the state buffer's rows once and checks the plant's component counts
-once, and each call writes every rate row in place, with the gains G and -k
-as 0-d arrays, in the operation order of the formulas below.
+takes the state buffer's rows once and checks the state size and the plant's
+component counts once, and each call writes every rate row in place, with
+the gains G and -k as 0-d arrays, in the operation order of the formulas
+below.
 """
 
 from __future__ import annotations
@@ -186,9 +187,6 @@ def _cascade_rhs(plant: PlantSpec, exo: ExosystemSpec, im: "InternalModel", G):
 
 
 def _run(rhs, layout, x0, t_span, method, **kwargs) -> Trajectory:
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape[0] != layout.m:
-        raise ConfigError(f"initial state has {x0.shape[0]} slots, expected {layout.m}")
     traj = integrate(rhs, x0, t_span, method=method, **kwargs)
     return replace(traj, meta={**traj.meta, "layout": layout})
 

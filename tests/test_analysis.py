@@ -20,6 +20,7 @@ from nimreg import (
     ExosystemSpec,
     PlantSpec,
     ScenarioSets,
+    build_gain,
     build_tau,
     design_gains,
     estimate_attractor,
@@ -29,12 +30,15 @@ from nimreg import (
     get_benchmark,
     graph_distance,
     linear_baseline_experiment,
+    place_poles,
     regulation_experiment,
+    saturate,
 )
 import nimreg.analysis
 from nimreg.analysis import (
     AttractorEstimate,
     _cell_keys,
+    _chi_norms,
     _first_cells,
     _nearest,
     _settle_time,
@@ -49,9 +53,12 @@ from nimreg.errors import (
     BoundednessError,
     ConfigError,
     FitError,
+    IntegrationError,
     PreconditionError,
     SearchError,
 )
+from nimreg.integrators import Trajectory
+from nimreg.sim import StateLayout
 
 from _oracles import check_forward_invariance
 
@@ -206,6 +213,41 @@ def test_graph_distance_peak_memory_is_one_reference_array(stacks, fine_clouds):
     rows, n_pts = states.shape[0], est.points.shape[1]
     assert n_pts > 500_000
     assert peak < rows * n_pts * 8 + 2 * n_pts * 8 + 8e6
+
+
+def _vdp_batch(n_pts: int, batch: int):
+    """(tau, a trajectory of n_pts x batch random vdp closed-loop states)."""
+    bench = get_benchmark("vdp")
+    tau = build_tau(bench.plant, bench.exo, bench.d)
+    states = np.random.default_rng(6).uniform(-2.0, 2.0, (n_pts, 6, batch))
+    layout = StateLayout(n=1, r=2, d=2, has_error=True)
+    return tau, Trajectory(np.arange(n_pts) * 0.01, states, {"layout": layout})
+
+
+def _chi_at_once(tau, traj):
+    """|xi - tau(z, w)| over every (time, run) pair in one evaluation of tau."""
+    x = traj.states.transpose(1, 0, 2)  # slots [z, e, w1, w2, xi1, xi2]
+    zw, xi = x[[0, 2, 3]].reshape(3, -1), x[[4, 5]].reshape(2, -1)
+    return np.sqrt(np.sum((xi - tau(zw)) ** 2, axis=0)).reshape(traj.t.size, -1)
+
+
+@pytest.mark.parametrize("block", [2, 7, 64])
+def test_chi_norms_blocks_leave_every_value(monkeypatch, block):
+    # blocks of one time row (the batch is wider than the block), of two,
+    # and one block for the whole trajectory
+    tau, traj = _vdp_batch(11, 3)
+    monkeypatch.setattr(nimreg.analysis, "_TAU_BLOCK", block)
+    assert np.array_equal(_chi_norms(tau, traj), _chi_at_once(tau, traj))
+
+
+def test_chi_norms_peak_memory_is_one_block():
+    # the (n_pts, batch) output, plus one block's (z, w, xi) copies and tau's
+    # jet temporaries: about 20 rows of _TAU_BLOCK columns
+    tau, traj = _vdp_batch(10_001, 50)
+    norms, peak = _traced_peak(lambda: _chi_norms(tau, traj))
+    assert traj.states.shape[0] * traj.states.shape[2] > 7 * nimreg.analysis._TAU_BLOCK
+    assert peak < norms.nbytes + 32 * nimreg.analysis._TAU_BLOCK * 8
+    assert np.array_equal(norms, _chi_at_once(tau, traj))
 
 
 def _thin_by_rows(points, resolution):
@@ -666,24 +708,59 @@ def test_perturbation_runs_one_cascade(stacks, matched_clouds, kappa_stars,
 
     monkeypatch.setattr(nimreg.analysis, "run_observer_cascade", recording)
     sizes = (1e-1, 1e-2, 1e-3)
+    monkeypatch.setattr(nimreg.analysis, "_PERTURB_SIZES", sizes)
     rep = perturbation_decay_experiment(s.bench.plant, s.bench.exo, s.im, s.tau,
-                                        est, G, sizes=sizes, n_runs=4, horizon=6.0)
+                                        est, G, n_runs=4, horizon=6.0)
     assert widths == [len(sizes) * 4]
     assert len(rep.rates) == len(sizes)
 
 
 def test_perturbation_rate_independent_of_other_sizes(stacks, matched_clouds,
-                                                      kappa_stars):
+                                                      kappa_stars, monkeypatch):
     # a size's kicks are drawn first and its columns ride alone in their
     # slice of the batch, so a second size leaves its rate bit for bit
     s = stacks("harmonic")
     kw = dict(n_runs=4, horizon=6.0, seed=5)
     args = (s.bench.plant, s.bench.exo, s.im, s.tau, matched_clouds("harmonic"),
             kappa_stars("harmonic").design.G)
-    alone = perturbation_decay_experiment(*args, sizes=(1e-2,), **kw)
-    paired = perturbation_decay_experiment(*args, sizes=(1e-2, 1e-3), **kw)
+    monkeypatch.setattr(nimreg.analysis, "_PERTURB_SIZES", (1e-2,))
+    alone = perturbation_decay_experiment(*args, **kw)
+    monkeypatch.setattr(nimreg.analysis, "_PERTURB_SIZES", (1e-2, 1e-3))
+    paired = perturbation_decay_experiment(*args, **kw)
     assert alone.rates[0] is not None
     assert repr(paired.rates[0]) == repr(alone.rates[0])
+
+
+def test_perturbation_integration_failure_is_a_failed_verdict(stacks):
+    # kappa = 1e4 puts an observer pole near -1e4, far past rk4's stability
+    # limit at h = 1e-3: the kicked batch passes the guard within 0.1 s
+    s = stacks("harmonic")
+    est = estimate_attractor(s.bench.plant, s.bench.exo, s.sets,
+                             w0_sampler=s.bench.w0_sampler, n_sources=2,
+                             transient_time=5.0, sample_time=2.0,
+                             dt_sample=0.1, resolution=None)
+    rep = perturbation_decay_experiment(s.bench.plant, s.bench.exo, s.im, s.tau, est,
+                                        build_gain(place_poles(2), 1e4),
+                                        n_runs=2, horizon=2.0)
+    assert rep.error.startswith("state magnitude exceeded 1e+09 at t=")
+    assert rep.rates == [None] * len(nimreg.analysis._PERTURB_SIZES)
+    assert not rep.passed
+
+
+def test_invariance_integration_failure_is_a_failed_verdict(stacks, matched_clouds,
+                                                             monkeypatch):
+    s = stacks("harmonic")
+
+    def diverging(*args, **kwargs):
+        raise IntegrationError("state magnitude exceeded 1e+09 at t=0.5", t_fail=0.5)
+
+    monkeypatch.setattr(nimreg.analysis, "run_observer_cascade", diverging)
+    gd = design_gains(2, 2.0, lipschitz=s.im.driver.L)
+    rep = graph_invariance_experiment(s.bench.plant, s.bench.exo, s.im, s.tau,
+                                      matched_clouds("harmonic"), gd.G, horizon=5.0)
+    assert rep.error == "state magnitude exceeded 1e+09 at t=0.5"
+    assert rep.max_distance == rep.terminal_distance == np.inf
+    assert not rep.passed
 
 
 def test_auto_feedback_gain_exhaustion(stacks, monkeypatch):
@@ -793,7 +870,7 @@ def test_regulation_fits_distances_only_at_held_check_times(stacks, monkeypatch)
 
 
 def test_experiments_take_the_xi_box_from_the_driver(stacks, matched_clouds,
-                                                     kappa_stars):
+                                                     kappa_stars, monkeypatch):
     # a tau chain never given a box runs every experiment exactly as the
     # synthesized one: the xi starts come from im.driver.s_box alone
     s = stacks("harmonic")
@@ -801,6 +878,7 @@ def test_experiments_take_the_xi_box_from_the_driver(stacks, matched_clouds,
     assert fresh.image_extent is None
     plant, exo, w0 = s.bench.plant, s.bench.exo, s.bench.w0_sampler
     gd = kappa_stars("harmonic").design
+    monkeypatch.setattr(nimreg.analysis, "_PERTURB_SIZES", (1e-2, 1e-3))
     cc = ControllerConfig(im=s.im, gd=gd, k=float(gd.G[0]) + 5.0)
     runs = {
         "kappa": lambda tau: find_kappa_star(replace(s, tau=tau)),
@@ -811,7 +889,7 @@ def test_experiments_take_the_xi_box_from_the_driver(stacks, matched_clouds,
             n_runs=3, horizon=4.0, tol=1e-2),
         "perturbation": lambda tau: perturbation_decay_experiment(
             plant, exo, s.im, tau, matched_clouds("harmonic"), gd.G,
-            sizes=(1e-2, 1e-3), n_runs=3, horizon=6.0),
+            n_runs=3, horizon=6.0),
     }
     for name, run in runs.items():
         assert repr(run(fresh)) == repr(run(s.tau)), name
@@ -835,6 +913,29 @@ def test_regulation_vdp_baseline_reports_no_rate(stacks):
     rep = linear_baseline_experiment(_runs(s, 6), horizon=20.0)
     assert not rep.asymptotic
     assert (rep.fit_e, rep.fit_chi, rep.fit_dist) == (None, None, None)
+
+
+def test_linear_baseline_saturates_on_the_synthesis_box(stacks, monkeypatch):
+    # the driver box is derived once, in synthesize: the baseline takes it
+    # from the synthesized driver and certifies its linear fit on it
+    s = stacks("harmonic")
+
+    def rederived(*args):
+        raise AssertionError("the baseline evaluated the tau image again")
+
+    monkeypatch.setattr(nimreg.analysis, "_tau_image", rederived)
+    rep = linear_baseline_experiment(_runs(s, 2), horizon=1.0, fit_curves=False)
+    coef = rep.driver_coefficients
+
+    def f_lin(eta):
+        acc = coef[0] * eta[0]
+        for i in range(1, len(coef)):
+            acc = acc + coef[i] * eta[i]
+        return acc
+
+    driver, again = rep.cc.im.driver, saturate(f_lin, s.im.driver.s_box)
+    assert np.array_equal(driver.s_box, s.im.driver.s_box)
+    assert (driver.C, driver.L) == (again.C, again.L)
 
 
 # decay probe ------------------------------------------------------------------

@@ -120,6 +120,8 @@ def test_mu_sweep_requires_vdp(tmp_path):
     ["verify", "--transient-time", "-1"],
     # one retained sample per source leaves nothing to thin
     ["run", "--sample-time", "0.001"],
+    ["run", "--seed", "-1"],
+    ["run", "--guard", "0"],
 ])
 def test_bad_cloud_settings_exit_two(tmp_path, capsys, argv):
     extra = ["--out-dir", str(tmp_path)] if argv[0] == "run" else []

@@ -181,6 +181,16 @@ def test_guard_marks_only_the_diverging_column(method):
     assert exc_info.value.failed.tolist() == [False, True, False]
 
 
+@pytest.mark.parametrize("method", ["rk4", "dopri5"])
+@pytest.mark.parametrize("guard", [0.0, -1.0, float("nan")])
+def test_guard_not_positive_is_a_config_error(method, guard):
+    # no state is within a guard that is not > 0: that is a bad setting, not
+    # a diverging run
+    with pytest.raises(ConfigError, match="overflow guard must be > 0"):
+        integrate(decay, np.array([0.0]), (0.0, 1.0), method=method, dt_out=0.1,
+                  guard=guard)
+
+
 def test_dopri5_single_column_batch_equals_vector_run():
     a = np.array([[-0.3, 1.0, 0.2], [-1.0, -0.2, 0.5], [0.1, -0.4, -0.6]])
 
