@@ -30,7 +30,7 @@ from .dynsys import (ExosystemSpec, PlantSpec, ScenarioSets, inflate_box,
                      zero_dynamics_rhs)
 from .errors import (BoundednessError, ConfigError, FitError, IntegrationError,
                      PreconditionError, SearchError)
-from .integrators import Trajectory, _hermite, rk4_fixed
+from .integrators import DEFAULT_GUARD, Trajectory, _hermite, rk4_fixed
 from .gain import design_gains
 from .internal_model import InternalModel, TauChain, saturate
 from .sim import ControllerConfig, run_closed_loop, run_observer_cascade
@@ -104,19 +104,21 @@ def _cell_keys(lo: np.ndarray, hi: np.ndarray):
 
 
 def _first_cells(blocks, resolution: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The first point of every occupied cell of size resolution over the
-    (m, B) blocks, in the order the blocks give them, in one pass with the
-    key function of the fixed cell ranges lo..hi (_cell_keys).
+    """The positions, in the blocks' concatenation, of the first point of
+    every occupied cell of size resolution over the (m, B) blocks, in the
+    order the blocks give them, in one pass with the key function of the
+    fixed cell ranges lo..hi (_cell_keys).
 
     Per block: the first point of each run of equal consecutive keys, then
     the first point per key (np.unique), then the keys not in the sorted
     array seen of every earlier block's cells (np.searchsorted); those are
-    inserted into seen, and their points kept.  Only key equality decides
-    what is kept, and kept points are taken in block order, so int64 keys
-    and record keys, which sort differently, keep the same points."""
+    inserted into seen, and their positions kept.  Only key equality
+    decides what is kept, and kept points are taken in block order, so
+    int64 keys and record keys, which sort differently, keep the same
+    points."""
     key = _cell_keys(lo, hi)
     seen = key(np.empty((lo.size, 0), dtype=np.int64))
-    kept = [np.empty((lo.size, 0))]
+    kept, offset = [np.empty(0, dtype=np.int64)], 0
     for dense in blocks:
         keys = key(np.floor(dense / resolution).astype(np.int64))
         run = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -125,9 +127,9 @@ def _first_cells(blocks, resolution: float, lo: np.ndarray, hi: np.ndarray) -> n
         new = pos == seen.size
         new[~new] = seen[pos[~new]] != cells[~new]
         seen = np.insert(seen, pos[new], cells[new])
-        kept.append(dense[:, run[np.sort(first[new])]])
-    del seen  # before the cloud's one copy
-    return np.concatenate(kept, axis=1)
+        kept.append(offset + run[np.sort(first[new])])
+        offset += keys.size
+    return np.concatenate(kept)
 
 
 # dense Hermite-fill points per block
@@ -140,7 +142,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
                        transient_time: float = 20.0, sample_time: float = 10.0,
                        h: float = 1e-3, dt_sample: float = 0.01,
                        resolution: float | None = 5e-4,
-                       guard: float = 1e9) -> AttractorEstimate:
+                       guard: float = DEFAULT_GUARD) -> AttractorEstimate:
     """Sample the zero-dynamics steady state from Z x W initial conditions,
     in (m, N) columns throughout.
 
@@ -152,7 +154,8 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     each occupied cell of size resolution.
 
     The fill is made in blocks of about _FILL_POINTS points and thinned in
-    one pass (_first_cells) against cell-key ranges fixed before it starts.
+    one pass (_first_cells) against cell-key ranges fixed before it starts;
+    the kept points are then evaluated again, in blocks, into the cloud.
     On an interval from y0 to y1 = y0 + dy with slopes f0, f1 the Hermite
     value moves from y0 by at most dt|f0| + |a| + |b| <= 5|dy| + 6 dt max|f|
     per axis (a, b as in integrators._hermite), so the retained samples'
@@ -227,7 +230,19 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
              + 6.0 * dt * np.max(np.abs(f), axis=(1, 2)))
     lo = np.floor((np.min(y, axis=(1, 2)) - reach) / resolution).astype(np.int64) - 1
     hi = np.floor((np.max(y, axis=(1, 2)) + reach) / resolution).astype(np.int64) + 1
-    cloud = _first_cells(blocks(), resolution, lo, hi)
+    kept = _first_cells(blocks(), resolution, lo, hi)
+    # kept positions, not points: points held to the end of the pass grew the
+    # heap by the cloud's size, for good.  _hermite works elementwise, so a
+    # point evaluated again has its block's bits; its inputs and temporaries
+    # are some 8 arrays of a step's shape, so a step is an eighth of a block.
+    cloud = np.empty((m, kept.size))
+    ys, fs = y.reshape(m, -1), f.reshape(m, -1)
+    step = max(1, int(_FILL_POINTS) // 8)
+    for a in range(0, kept.size, step):
+        i, sub = np.divmod(kept[a:a + step], n_sub)
+        i += i // (n_ret - 1)  # the interval's first sample, as a column of ys
+        y0, y1, f0, f1 = (v.take(c, axis=1) for v in (ys, fs) for c in (i, i + 1))
+        cloud[:, a:a + i.size] = _hermite(y0, y1, f0, f1, dt, thetas[sub])
     return AttractorEstimate(points=cloud, resolution=resolution, **common)
 
 
@@ -346,24 +361,19 @@ def graph_distance(tau: TauChain, est: AttractorEstimate, states):
 
         min over cloud points p of |zw - p| + |xi - tau(p)|.
 
-    states is (n+r+d,) or (n+r+d, Q).  The minimum is exact and equals the
-    formula evaluated at every cloud point, bit for bit: a point is skipped
-    only when its distance along one (z, w) axis alone exceeds a value the
-    query already has (_nearest).  tau is evaluated over blocks of the
-    sorted cloud, straight into _nearest's reference array: jets work
-    column by column, so the values are those of tau over the whole cloud,
-    and the memory beyond the cloud is that array, the sort's indices and
-    one block's jet temporaries."""
-    pts = est.points
-    nr = pts.shape[0]
+    states is an (n+r+d, Q) batch; any other shape raises ConfigError.  The
+    minimum is exact and equals the formula evaluated at every cloud point,
+    bit for bit: a point is skipped only when its distance along one (z, w)
+    axis alone exceeds a value the query already has (_nearest).  tau is
+    evaluated over blocks of the sorted cloud, straight into _nearest's
+    reference array: jets work column by column, so the values are those of
+    tau over the whole cloud, and the memory beyond the cloud is that array,
+    the sort's indices and one block's jet temporaries."""
     X = np.asarray(states, dtype=float)
-    single = X.ndim == 1
-    if single:
-        X = X[:, None]
-    if X.shape[0] != nr + tau.d:
-        raise ConfigError(f"state has {X.shape[0]} slots, expected {nr + tau.d}")
-    out = _nearest(X, pts, tau)
-    return float(out[0]) if single else out
+    m = est.points.shape[0] + tau.d
+    if X.ndim != 2 or X.shape[0] != m:
+        raise ConfigError(f"states must be an ({m}, Q) batch, got shape {X.shape}")
+    return _nearest(X, est.points, tau)
 
 
 # decay fitting ----------------------------------------------------------------
@@ -717,7 +727,7 @@ def _floored_fit(t: np.ndarray, values: np.ndarray, floor: float) -> DecayFit | 
 def regulation_experiment(syn, cc: ControllerConfig, *, eps: float = 1e-2,
                           eps_asym: float = 1e-4, horizon: float = 100.0,
                           h: float = 1e-3, dt_out: float = 0.01,
-                          fit_curves: bool = True, guard: float = 1e9,
+                          fit_curves: bool = True, guard: float = DEFAULT_GUARD,
                           method: str = "rk4", rtol: float = 1e-9,
                           atol: float = 1e-12) -> RunReport:
     """Close the loop of syn's plant under cc from syn.sets.n_samples
@@ -725,7 +735,11 @@ def regulation_experiment(syn, cc: ControllerConfig, *, eps: float = 1e-2,
     cc.im.driver.s_box, and measure practical (enter and stay in the eps
     tube) and asymptotic (tail below eps_asym) regulation.  Graph distances
     are fitted against syn.est.  A decay fit is None when its median never
-    reached the floor."""
+    reached the floor.  An eps or eps_asym that is not finite and > 0 raises
+    ConfigError."""
+    for name, tol in (("eps", eps), ("eps_asym", eps_asym)):
+        if not (0 < tol < math.inf):
+            raise ConfigError(f"{name} must be finite and > 0, got {tol!r}")
     if cc.k_bar <= 0:
         raise PreconditionError(
             f"regulation needs k_bar > 0, got {cc.k_bar:g} (k too small for this gain)")

@@ -6,8 +6,9 @@ Subcommands:
   benchmarks  list the registered benchmark systems
   verify      internal-model residual check per benchmark
 
-Configuration is a flat key=value text file (`--config`); each key is also
-exposed as a flag, and flags win over the file.  Exit code 0 means the
+Configuration is a flat key=value text file (`--config`) of RunConfig's
+fields; each key is also exposed as a flag (verify takes the keys the
+synthesis reads), and flags win over the file.  Exit code 0 means the
 experiment passed, 1 means it ran and failed (the report is still written),
 2 means the invocation or configuration was unusable.
 """
@@ -23,18 +24,20 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .bench import get_benchmark, registry
+from .bench import check_mu, get_benchmark, registry
 from .errors import ConfigError, NimregError
 from .gain import design_gains, find_kappa_star
+from .integrators import DEFAULT_GUARD, INTEGRATORS
 from .sim import ControllerConfig
 from .synthesis import Synthesis, synthesize
-
-# keys where "auto" (or "none") means: let the pipeline decide
-_AUTO_KEYS = {"d", "poles", "kappa", "k", "mu"}
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The settings of a run, each a config key and a flag.  A value parses
+    by its field's annotation, and a field that may be None also takes
+    "auto" (or "none"): the pipeline decides."""
+
     benchmark: str = "harmonic"
     d: int | None = None
     poles: tuple | None = None
@@ -56,40 +59,38 @@ class RunConfig:
     sample_time: float = 10.0
     resolution: float = 5e-4
     mu: float | None = None
-    guard: float = 1e9
+    guard: float = DEFAULT_GUARD
 
 
+# annotations stay strings here (postponed evaluation): "float", "int | None"
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+_BOOLS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _coerce(key: str, text: str):
-    """Parse one config value; keys are the RunConfig fields, nothing else."""
+    """Parse one config value by its RunConfig annotation; keys are the
+    RunConfig fields, nothing else."""
     if key not in _FIELD_TYPES:
         raise ConfigError(f"unknown configuration key {key!r}")
+    kind, _, optional = _FIELD_TYPES[key].partition(" | ")
     text = text.strip()
-    if key in _AUTO_KEYS and text.lower() in ("auto", "none"):
+    if optional and text.lower() in ("auto", "none"):
         return None
     try:
-        if key in ("benchmark", "out_dir"):
-            return text
-        if key == "method":
-            if text not in ("rk4", "dopri5"):
-                raise ValueError(f"unknown integrator {text!r}")
-            return text
-        if key == "baseline":
-            if text.lower() in ("true", "1", "yes"):
-                return True
-            if text.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"not a boolean: {text!r}")
-        if key in ("d", "n_samples", "seed"):
-            return int(text)
-        if key == "poles":
+        if kind == "bool":
+            if text.lower() not in _BOOLS:
+                raise ValueError(f"not a boolean: {text!r}")
+            return _BOOLS[text.lower()]
+        if kind == "tuple":
             vals = tuple(float(p) for p in text.split(",") if p.strip())
             if not vals:
-                raise ValueError("empty pole list")
+                raise ValueError("empty list")
             return vals
-        return float(text)
+        value = _PARSERS[kind](text)
+        if key == "method" and value not in INTEGRATORS:
+            raise ValueError(f"unknown integrator {value!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from exc
 
@@ -111,16 +112,18 @@ def parse_config_file(path: str) -> dict:
     return values
 
 
-def load_config(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        cfg = replace(cfg, **parse_config_file(args.config))
-    overrides = {}
+def _given(args: argparse.Namespace) -> dict:
+    """The keys set in the --config file or by a flag; flags win."""
+    given = parse_config_file(args.config) if args.config else {}
     for name in _FIELD_TYPES:
-        val = getattr(args, name, None)
-        if val is not None:
-            overrides[name] = _coerce(name, val) if isinstance(val, str) else val
-    return replace(cfg, **overrides)
+        text = getattr(args, name, None)
+        if text is not None:
+            given[name] = _coerce(name, text)
+    return given
+
+
+def load_config(args: argparse.Namespace) -> RunConfig:
+    return RunConfig(**_given(args))
 
 
 # pipeline ------------------------------------------------------------------------
@@ -135,12 +138,17 @@ class Pipeline:
     kappa_search: object | None
 
 
+# every key _synthesis reads, and so every key verify takes: the benchmark,
+# its scenario sets, then synthesize's keywords
+_SYNTHESIS_KEYS = ("benchmark", "mu", "n_samples", "seed", "d", "transient_time",
+                   "sample_time", "h", "resolution", "guard")
+
+
 def _synthesis(cfg: RunConfig) -> Synthesis:
-    bench = get_benchmark(cfg.benchmark, mu=cfg.mu)
-    sets = bench.scenario_sets(n_samples=cfg.n_samples, seed=cfg.seed)
-    return synthesize(bench, sets, d=cfg.d, transient_time=cfg.transient_time,
-                      sample_time=cfg.sample_time, h=cfg.h,
-                      resolution=cfg.resolution, guard=cfg.guard)
+    keys = {key: getattr(cfg, key) for key in _SYNTHESIS_KEYS}
+    bench = get_benchmark(keys.pop("benchmark"), mu=keys.pop("mu"))
+    sets = bench.scenario_sets(n_samples=keys.pop("n_samples"), seed=keys.pop("seed"))
+    return synthesize(bench, sets, **keys)
 
 
 def build_pipeline(cfg: RunConfig, syn: Synthesis | None = None) -> Pipeline:
@@ -310,8 +318,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep grid: {exc}") from exc
     if not grid:
         raise ConfigError("sweep grid is empty")
-    if param == "mu" and cfg.benchmark != "vdp":
-        raise ConfigError("mu sweep only applies to the vdp benchmark")
+    # a mu the benchmark does not take stops the sweep before any point runs
+    check_mu(cfg.benchmark, grid[0] if param == "mu" else cfg.mu)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -367,13 +375,11 @@ def cmd_benchmarks(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = load_config(args)
-    file_keys = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    explicit = args.benchmark is not None or "benchmark" in file_keys
-    names = [cfg.benchmark] if explicit else [b.name for b in registry()]
+    given = _given(args)
+    names = [given["benchmark"]] if "benchmark" in given else [b.name for b in registry()]
     ok = True
     for name in names:
-        ver = _synthesis(replace(cfg, benchmark=name)).ver
+        ver = _synthesis(RunConfig(**{**given, "benchmark": name})).ver
         ok &= ver.passed
         print(f"benchmark={name} residual_flow={ver.residual_flow!r} "
               f"residual_output={ver.residual_output!r} "
@@ -384,17 +390,15 @@ def cmd_verify(args) -> int:
 # entry point -----------------------------------------------------------------------
 
 
-def _add_config_flags(parser: argparse.ArgumentParser, include=None) -> None:
-    names = include if include is not None else list(_FIELD_TYPES)
+def _add_config_flags(parser: argparse.ArgumentParser, names=tuple(_FIELD_TYPES)) -> None:
+    parser.add_argument("--config", help="key=value configuration file")
     for name in names:
         flag = "--" + name.replace("_", "-")
         if name == "baseline":
-            parser.add_argument(flag, action="store_const", const=True,
-                                default=None,
+            parser.add_argument(flag, action="store_const", const="true",
                                 help="run the linear-driver comparator")
         else:
-            parser.add_argument(flag, dest=name, default=None, metavar="V",
-                                help=f"override config key {name}")
+            parser.add_argument(flag, metavar="V", help=f"override config key {name}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,12 +408,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_run = sub.add_parser("run", help="full pipeline on one benchmark")
-    p_run.add_argument("--config", help="key=value configuration file")
     _add_config_flags(p_run)
     p_run.set_defaults(fn=cmd_run)
 
     p_sweep = sub.add_parser("sweep", help="run over a one-parameter grid")
-    p_sweep.add_argument("--config", help="key=value configuration file")
     p_sweep.add_argument("--param", required=True, choices=("kappa", "k", "mu"))
     p_sweep.add_argument("--grid", required=True,
                          help="comma-separated parameter values")
@@ -420,25 +422,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.set_defaults(fn=cmd_benchmarks)
 
     p_verify = sub.add_parser("verify", help="internal-model residual checks")
-    p_verify.add_argument("--config", help="key=value configuration file")
-    _add_config_flags(p_verify, include=["benchmark", "d", "n_samples", "seed",
-                                         "transient_time", "sample_time",
-                                         "resolution", "h", "mu"])
+    _add_config_flags(p_verify, _SYNTHESIS_KEYS)
     p_verify.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NimregError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, ConfigError) else 1
 
 
 if __name__ == "__main__":

@@ -107,9 +107,9 @@ def rk4_fixed(rhs, x0, t_span, h: float = 1e-3, dt_out: float | None = None,
     """
     t0, t1 = _span(t_span)
     span = t1 - t0
-    if h <= 0:
+    if not h > 0:
         raise ConfigError("step size must be positive")
-    if dt_out is not None and dt_out <= 0:
+    if dt_out is not None and not dt_out > 0:
         raise ConfigError("dt_out must be positive")
     stride = 1 if dt_out is None else max(1, round(dt_out / h))
     n_out = max(1, round(span / (stride * h)))
@@ -218,11 +218,15 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
 
     States are reported on the uniform dt_out grid via cubic Hermite
     interpolation inside each accepted step.  The step sequence does not
-    depend on dt_out, so neither does the final state.
+    depend on dt_out, so neither does the final state.  Tolerances that are
+    not finite and >= 0, or both 0, raise ConfigError.
     """
     t0, t1 = _span(t_span)
-    if dt_out <= 0:
+    if not dt_out > 0:
         raise ConfigError("dt_out must be positive")
+    if not (0 <= rtol < math.inf and 0 <= atol < math.inf and rtol + atol > 0):
+        raise ConfigError(f"rtol and atol must be finite, >= 0 and not both 0, "
+                          f"got {rtol!r} and {atol!r}")
     n_out = max(1, round((t1 - t0) / dt_out))
     x, t_grid, out = _start(x0, t0, t1, n_out, guard)
     next_out = 1
@@ -325,10 +329,13 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
     return Trajectory(t_grid, out, meta)
 
 
+# integrator name -> the function of this module that runs it, looked up by
+# name on each call, so a wrapper put in its place (perfbench's tracer) runs
+INTEGRATORS = {"rk4": "rk4_fixed", "dopri5": "dopri5"}
+
+
 def integrate(rhs, x0, t_span, method: str = "rk4", **kwargs) -> Trajectory:
-    """Dispatch to the named integrator ("rk4" or "dopri5")."""
-    if method == "rk4":
-        return rk4_fixed(rhs, x0, t_span, **kwargs)
-    if method == "dopri5":
-        return dopri5(rhs, x0, t_span, **kwargs)
-    raise ConfigError(f"unknown integrator {method!r}")
+    """Dispatch to the integrator INTEGRATORS names method."""
+    if method not in INTEGRATORS:
+        raise ConfigError(f"unknown integrator {method!r}")
+    return globals()[INTEGRATORS[method]](rhs, x0, t_span, **kwargs)

@@ -27,7 +27,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynsys import ExosystemSpec, Field, PlantSpec, _check_len, _row_views
+from .dynsys import (ExosystemSpec, Field, PlantSpec, _check_len, _row_views,
+                     zero_dynamics_rhs)
 from .errors import ConfigError
 from .integrators import Trajectory, integrate
 
@@ -156,29 +157,24 @@ def _cascade_rhs(plant: PlantSpec, exo: ExosystemSpec, im: "InternalModel", G):
 
         z' = f0,  w' = s,  xi' = Phi_c(xi) + G (-q(z, 0, w) - xi_1),
 
-    as a bound field and its layout.  The (z, w) block is autonomous, so its
-    flow matches the bare zero dynamics slot for slot."""
+    as a bound field and its layout.  The (z, w) rows are the bare zero
+    dynamics bound on them, so their flow matches it slot for slot."""
     n, r = plant.n, exo.r
     layout = StateLayout(n=n, r=r, d=im.d, has_error=False)
-    f0, q, s = plant.f0, plant.q, exo.s
+    zero_dynamics, q = zero_dynamics_rhs(plant, exo), plant.q
     zero = np.array(0.0)
 
     def bind(x, out):
         xs, outs = _row_views(x, layout.m, "cascade"), _row_views(out, layout.m, "cascade")
         z, w, xi = xs[:n], xs[n:n + r], xs[n + r:]
-        zdot, wdot = outs[:n], outs[n:n + r]
-        _check_len(f0(z, w), n, "f0")
-        _check_len(s(w), r, "s")
+        zw_rates = zero_dynamics.bind(x[:n + r], out[:n + r])
         innov = np.empty_like(xi[0])
         xi_rates = _copy_rates(im, G, xi, outs[n + r:], innov)
 
         def call():
             np.negative(q(z, zero, w), innov)  # -q(z, 0, w) - xi_1
             np.subtract(innov, xi[0], innov)
-            for o, c in zip(zdot, f0(z, w)):
-                o[...] = c
-            for o, c in zip(wdot, s(w)):
-                o[...] = c
+            zw_rates()
             xi_rates()
 
         return call

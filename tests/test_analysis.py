@@ -113,10 +113,11 @@ def test_chunked_cloud_equals_the_one_chunk_cloud(monkeypatch):
     monkeypatch.setattr(nimreg.analysis, "_hermite", counting)
     monkeypatch.setattr(nimreg.analysis, "_FILL_POINTS", 1e12)
     whole = estimate_attractor(bench.plant, bench.exo, sets, **kw)
-    assert len(fills) == 3
+    # one fill block per source, then the kept points in one block
+    assert len(fills) == 3 + 1
     monkeypatch.setattr(nimreg.analysis, "_FILL_POINTS", 200)
     chunked = estimate_attractor(bench.plant, bench.exo, sets, **kw)
-    assert len(fills) > 3 + 2 * 3
+    assert len(fills) > 4 + 2 * 3
     assert np.array_equal(whole.points, chunked.points)
 
 
@@ -265,7 +266,7 @@ def _first_cells_in_blocks(points, resolution, n_blocks):
     lo, hi = grid.min(axis=1), grid.max(axis=1)
     kind = _cell_keys(lo, hi)(grid).dtype.kind
     blocks = np.array_split(points, n_blocks, axis=1)
-    return _first_cells(blocks, resolution, lo, hi), kind
+    return points[:, _first_cells(blocks, resolution, lo, hi)], kind
 
 
 @settings(max_examples=40, deadline=None)
@@ -392,7 +393,7 @@ def test_graph_distance_zero_on_graph_points(stacks):
     for j in (0, 57, 1001):
         p = s.est.points[:, j % s.est.points.shape[1]]
         state = np.concatenate([p, s.tau(p[:, None])[:, 0]])
-        assert graph_distance(s.tau, s.est, state) == 0.0
+        assert graph_distance(s.tau, s.est, state[:, None])[0] == 0.0
 
 
 def test_graph_distance_matches_brute_force(stacks):
@@ -530,8 +531,8 @@ def test_graph_distance_lipschitz_in_xi(stacks):
     for _ in range(50):
         xi1 = rng.uniform(-2, 2, size=2)
         xi2 = rng.uniform(-2, 2, size=2)
-        d1 = graph_distance(s.tau, s.est, np.concatenate([zw, xi1]))
-        d2 = graph_distance(s.tau, s.est, np.concatenate([zw, xi2]))
+        (d1,) = graph_distance(s.tau, s.est, np.concatenate([zw, xi1])[:, None])
+        (d2,) = graph_distance(s.tau, s.est, np.concatenate([zw, xi2])[:, None])
         assert abs(d1 - d2) <= np.linalg.norm(xi1 - xi2) + 1e-12
 
 
@@ -540,6 +541,9 @@ def test_graph_distance_validates_slots(stacks):
     from nimreg.errors import ConfigError
     with pytest.raises(ConfigError):
         graph_distance(s.tau, s.est, np.zeros(4))
+    # one state of the right length is not a batch
+    with pytest.raises(ConfigError):
+        graph_distance(s.tau, s.est, np.zeros(5))
 
 
 # image boxes --------------------------------------------------------------------

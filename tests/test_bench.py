@@ -71,6 +71,12 @@ def test_vdp_mu_threads_through():
     assert get_benchmark("vdp", mu=1.5).mu == 1.5
 
 
+@pytest.mark.parametrize("name", ["harmonic", "static"])
+def test_mu_belongs_to_vdp(name):
+    with pytest.raises(ConfigError, match="mu applies to the vdp benchmark only"):
+        get_benchmark(name, mu=1.5)
+
+
 def test_vdp_sampler_points_lie_on_cycle():
     # a point sampled on the cycle must return to itself after one period
     bench = get_benchmark("vdp")

@@ -1,13 +1,15 @@
 """Command-line interface: config parsing, exit codes, file outputs."""
 
 import csv
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import pytest
 
 from nimreg.cli import (
     RunConfig,
     _coerce,
+    _fmt,
+    build_parser,
     load_config,
     main,
     parse_config_file,
@@ -39,6 +41,15 @@ def test_coerce_rejects():
         _coerce("method", "euler")
     with pytest.raises(ConfigError):
         _coerce("baseline", "maybe")
+
+
+def test_every_field_parses_by_its_annotation():
+    # a default written as the report writes it reads back as itself, and a
+    # field that may be None takes auto
+    for f in fields(RunConfig):
+        assert _coerce(f.name, _fmt(f.default)) == f.default, f.name
+        if f.type.endswith("| None"):
+            assert _coerce(f.name, "auto") is None, f.name
 
 
 def test_parse_config_file_builds_run_config(tmp_path):
@@ -75,7 +86,6 @@ def test_parse_config_file_unknown_key(tmp_path):
 
 
 def test_flags_override_file(tmp_path):
-    from nimreg.cli import build_parser
     path = tmp_path / "base.cfg"
     path.write_text("benchmark = vdp\nkappa = 5\nhorizon = 60\n")
     args = build_parser().parse_args(
@@ -113,6 +123,59 @@ def test_mu_sweep_requires_vdp(tmp_path):
                  "--benchmark", "harmonic", "--out-dir", str(tmp_path)]) == 2
 
 
+def test_mu_grid_value_without_a_cycle_fails_its_own_point(tmp_path):
+    # the vdp rule is checked before the sweep; building vdp at a grid value
+    # is each point's own work, so a value without a limit cycle is a row
+    assert main(["sweep", "--param", "mu", "--grid=-5", "--benchmark", "vdp",
+                 "--kappa", "63.45", "--k", "130", "--n-samples", "4",
+                 "--out-dir", str(tmp_path)]) == 1
+    report = (tmp_path / "vdp_mu_-5_report.txt").read_text()
+    assert "error = no limit cycle found for mu=-5" in report
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--benchmark", "harmonic", "--mu", "5"],
+    # without --benchmark, verify stops at the first benchmark, harmonic
+    ["verify", "--mu", "2"],
+    ["run", "--benchmark", "static", "--mu", "2"],
+])
+def test_mu_for_another_benchmark_exits_two(tmp_path, capsys, argv):
+    extra = ["--out-dir", str(tmp_path)] if argv[0] == "run" else []
+    assert main(argv + extra) == 2
+    assert capsys.readouterr().err.startswith("error: mu applies to the vdp benchmark only")
+
+
+def test_sweep_mu_for_another_benchmark_exits_before_any_point(tmp_path, monkeypatch):
+    import nimreg.analysis
+
+    calls = []
+    monkeypatch.setattr(nimreg.analysis, "estimate_attractor",
+                        lambda *args, **kwargs: calls.append(1))
+    out = tmp_path / "out"
+    assert main(["sweep", "--param", "kappa", "--grid", "1.5,2", "--mu", "2",
+                 "--out-dir", str(out)] + QUICK_STATIC) == 2
+    assert calls == [] and list(out.glob("*")) == []
+
+
+def test_verify_flags_are_the_synthesis_keys():
+    argv = ["verify", "--benchmark", "vdp", "--mu", "1.5", "--n-samples", "3",
+            "--seed", "2", "--d", "3", "--transient-time", "4", "--sample-time", "6",
+            "--h", "0.002", "--resolution", "0.01", "--guard", "50"]
+    cfg = load_config(build_parser().parse_args(argv))
+    assert (cfg.benchmark, cfg.mu, cfg.n_samples, cfg.seed, cfg.d, cfg.transient_time,
+            cfg.sample_time, cfg.h, cfg.resolution, cfg.guard) == \
+        ("vdp", 1.5, 3, 2, 3, 4.0, 6.0, 0.002, 0.01, 50.0)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--kappa", "3"])
+
+
+def test_verify_acts_on_guard_flag():
+    # static's z0 lies in [-1, 1]: a guard of 5 holds it, one of 0.5 does
+    # not, and the cloud's bounded-orbit check fails
+    assert main(["verify", "--benchmark", "static", "--guard", "5"]) == 0
+    assert main(["verify", "--benchmark", "static", "--guard", "0.5"]) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "--resolution", "0"],
     ["verify", "--resolution", "-0.001"],
@@ -145,6 +208,14 @@ def _run(tmp_path, extra):
     out = tmp_path / "out"
     code = main(["run", "--out-dir", str(out)] + extra)
     return code, out
+
+
+@pytest.mark.parametrize("flag", [["--eps", "nan"], ["--eps", "-1"],
+                                  ["--eps-asym", "0"]])
+def test_bad_eps_exits_two(tmp_path, capsys, flag):
+    code, _ = _run(tmp_path, QUICK_STATIC + flag)
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: eps")
 
 
 def test_run_static_outputs(tmp_path, capsys):

@@ -85,6 +85,17 @@ def test_rk4_rejects_bad_step():
         rk4_fixed(decay, np.array([1.0]), (0.0, 1.0), h=-1e-3)
 
 
+@pytest.mark.parametrize("method, grid", [("rk4", {"h": float("nan")}),
+                                          ("rk4", {"dt_out": float("nan")}),
+                                          ("dopri5", {"dt_out": float("nan")})])
+def test_nan_step_or_output_grid_is_a_config_error(method, grid):
+    # a NaN compares false with 0, so it must not pass a `<= 0` check and end
+    # in round(nan) (nimreg run --h nan)
+    with pytest.raises(ConfigError, match="must be positive"):
+        integrate(decay, np.array([1.0]), (0.0, 1.0), method=method,
+                  **{"dt_out": 0.1, **grid})
+
+
 # dopri ------------------------------------------------------------------------
 
 
@@ -191,6 +202,13 @@ def test_guard_not_positive_is_a_config_error(method, guard):
                   guard=guard)
 
 
+@pytest.mark.parametrize("rtol, atol", [(-1e-9, 1e-12), (0.0, 0.0),
+                                        (float("nan"), 1e-12)])
+def test_dopri5_rejects_tolerances_it_cannot_meet(rtol, atol):
+    with pytest.raises(ConfigError, match="rtol and atol"):
+        dopri5(decay, np.array([1.0]), (0.0, 1.0), rtol=rtol, atol=atol, dt_out=0.1)
+
+
 def test_dopri5_single_column_batch_equals_vector_run():
     a = np.array([[-0.3, 1.0, 0.2], [-1.0, -0.2, 0.5], [0.1, -0.4, -0.6]])
 
@@ -230,6 +248,17 @@ def test_integrate_dispatch_and_unknown_method():
     assert abs(traj.final[0] - np.exp(-1.0)) < 1e-10
     with pytest.raises(ConfigError):
         integrate(decay, np.array([1.0]), (0.0, 1.0), method="euler")
+
+
+@pytest.mark.parametrize("method, name", [("rk4", "rk4_fixed"), ("dopri5", "dopri5")])
+def test_integrate_calls_the_module_attribute(monkeypatch, method, name):
+    # the benchmark's tracer wraps integrators by rebinding module names;
+    # integrate must run the wrapper, not a function it captured at import
+    import nimreg.integrators
+    calls = []
+    monkeypatch.setattr(nimreg.integrators, name, lambda *args, **kwargs: calls.append(1))
+    integrate(decay, np.array([1.0]), (0.0, 1.0), method=method, dt_out=0.1)
+    assert calls == [1]
 
 
 def test_trajectory_final_row():
