@@ -42,7 +42,7 @@ def compare(name: str, kappa: float, k_bar: float, horizon: float, seed: int):
     cc = ControllerConfig(im=syn.im, gd=gd, k=k)
     nl = regulation_experiment(syn, cc, horizon=horizon)
     lin = linear_baseline_experiment(syn, gd, k, horizon=horizon)
-    return nl, lin, coef
+    return nl, lin, coef, bench.linear_baseline_pass
 
 
 def main() -> int:
@@ -58,16 +58,14 @@ def main() -> int:
           f"{'t_bar':>8s} {'asymptotic':>10s}")
     ok = True
     for name in ("harmonic", "vdp"):
-        nl, lin, coef = compare(name, args.kappa, args.k_bar, args.horizon,
+        nl, lin, coef, linear_passes = compare(name, args.kappa, args.k_bar, args.horizon,
                                 args.seed)
         for label, rep in (("nonlinear", nl), ("linear", lin)):
             t_bar = f"{rep.t_bar:.2f}" if rep.t_bar is not None else "none"
             print(f"{name:10s} {label:10s} {rep.tail_sup_e:12.3e} "
                   f"{t_bar:>8s} {str(rep.asymptotic):>10s}")
         print(f"{'':10s} linear fit coefficients: {coef}")
-        bench = get_benchmark(name)
-        ok &= nl.asymptotic
-        ok &= lin.asymptotic == bench.linear_baseline_pass
+        ok &= nl.asymptotic and lin.asymptotic == linear_passes
     print("expected pattern reproduced" if ok else "UNEXPECTED verdict pattern")
     return 0 if ok else 1
 

@@ -231,17 +231,15 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     lo = np.floor((np.min(y, axis=(1, 2)) - reach) / resolution).astype(np.int64) - 1
     hi = np.floor((np.max(y, axis=(1, 2)) + reach) / resolution).astype(np.int64) + 1
     kept = _first_cells(blocks(), resolution, lo, hi)
-    # kept positions, not points: points held to the end of the pass grew the
-    # heap by the cloud's size, for good.  _hermite works elementwise, so a
-    # point evaluated again has its block's bits; its inputs and temporaries
-    # are some 8 arrays of a step's shape, so a step is an eighth of a block.
+    # kept points held over the pass left their freed pieces in the heap, so
+    # they are evaluated again from their positions; _hermite is elementwise,
+    # so each has its block's bits.  A step's ~8 temporaries make one block.
     cloud = np.empty((m, kept.size))
-    ys, fs = y.reshape(m, -1), f.reshape(m, -1)
     step = max(1, int(_FILL_POINTS) // 8)
     for a in range(0, kept.size, step):
-        i, sub = np.divmod(kept[a:a + step], n_sub)
-        i += i // (n_ret - 1)  # the interval's first sample, as a column of ys
-        y0, y1, f0, f1 = (v.take(c, axis=1) for v in (ys, fs) for c in (i, i + 1))
+        i, sub = np.divmod(kept[a:a + step], n_sub)  # interval, sub-position
+        i += i // (n_ret - 1)  # the interval's first sample, as a column of y
+        y0, y1, f0, f1 = (v.reshape(m, -1)[:, c] for v in (y, f) for c in (i, i + 1))
         cloud[:, a:a + i.size] = _hermite(y0, y1, f0, f1, dt, thetas[sub])
     return AttractorEstimate(points=cloud, resolution=resolution, **common)
 

@@ -205,15 +205,15 @@ def registry() -> list:
     return [build() for build in _BUILDERS.values()]
 
 
-def check_mu(name: str, mu: float | None) -> None:
-    """A mu, the Van der Pol parameter, is for the vdp benchmark only."""
+def check_benchmark(name: str, mu: float | None) -> None:
+    """A registered name, and a mu (the Van der Pol parameter) for vdp only."""
+    if name not in _BUILDERS:
+        raise ConfigError(f"unknown benchmark {name!r}; choose from {', '.join(_BUILDERS)}")
     if mu is not None and name != "vdp":
         raise ConfigError(f"mu applies to the vdp benchmark only, not to {name!r}")
 
 
 def get_benchmark(name: str, mu: float | None = None) -> Benchmark:
-    """The named benchmark, at mu when given (check_mu)."""
-    if name not in _BUILDERS:
-        raise ConfigError(f"unknown benchmark {name!r}; choose from {', '.join(_BUILDERS)}")
-    check_mu(name, mu)
+    """The named benchmark, at mu when given (check_benchmark)."""
+    check_benchmark(name, mu)
     return _BUILDERS[name]() if mu is None else _vdp(mu)

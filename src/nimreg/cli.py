@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analysis
-from .bench import check_mu, get_benchmark, registry
+from .bench import check_benchmark, get_benchmark, registry
 from .errors import ConfigError, NimregError
 from .gain import design_gains, find_kappa_star
 from .integrators import DEFAULT_GUARD, INTEGRATORS
@@ -318,8 +318,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError(f"bad sweep grid: {exc}") from exc
     if not grid:
         raise ConfigError("sweep grid is empty")
-    # a mu the benchmark does not take stops the sweep before any point runs
-    check_mu(cfg.benchmark, grid[0] if param == "mu" else cfg.mu)
+    # a bad benchmark name or mu stops the sweep before any point runs
+    check_benchmark(cfg.benchmark, grid[0] if param == "mu" else cfg.mu)
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -360,8 +360,7 @@ def cmd_sweep(args) -> int:
     with agg.open("w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
     print(f"aggregate: {agg}")
     return 0 if all_passed else 1
 

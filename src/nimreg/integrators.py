@@ -329,8 +329,7 @@ def dopri5(rhs, x0, t_span, rtol: float = 1e-9, atol: float = 1e-12, *,
     return Trajectory(t_grid, out, meta)
 
 
-# integrator name -> the function of this module that runs it, looked up by
-# name on each call, so a wrapper put in its place (perfbench's tracer) runs
+# integrator name -> its function here, by name, so a wrapper in its place runs
 INTEGRATORS = {"rk4": "rk4_fixed", "dopri5": "dopri5"}
 
 

@@ -118,9 +118,14 @@ def test_empty_sweep_grid_exits_two(tmp_path):
                  "--out-dir", str(tmp_path)]) == 2
 
 
-def test_mu_sweep_requires_vdp(tmp_path):
+def test_mu_sweep_requires_vdp(tmp_path, capsys):
     assert main(["sweep", "--param", "mu", "--grid", "0.5,1.0",
                  "--benchmark", "harmonic", "--out-dir", str(tmp_path)]) == 2
+    capsys.readouterr()
+    # an unknown name is reported as such, not as a benchmark without mu
+    assert main(["sweep", "--param", "mu", "--grid", "1", "--benchmark", "foo",
+                 "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown benchmark 'foo'")
 
 
 def test_mu_grid_value_without_a_cycle_fails_its_own_point(tmp_path):
