@@ -104,21 +104,19 @@ def _cell_keys(lo: np.ndarray, hi: np.ndarray):
 
 
 def _first_cells(blocks, resolution: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The positions, in the blocks' concatenation, of the first point of
-    every occupied cell of size resolution over the (m, B) blocks, in the
-    order the blocks give them, in one pass with the key function of the
-    fixed cell ranges lo..hi (_cell_keys).
+    """The first point of every occupied cell of size resolution over the
+    (m, B) blocks, in the order the blocks give them, in one pass with the
+    key function of the fixed cell ranges lo..hi (_cell_keys).
 
     Per block: the first point of each run of equal consecutive keys, then
     the first point per key (np.unique), then the keys not in the sorted
     array seen of every earlier block's cells (np.searchsorted); those are
-    inserted into seen, and their positions kept.  Only key equality
-    decides what is kept, and kept points are taken in block order, so
-    int64 keys and record keys, which sort differently, keep the same
-    points."""
+    inserted into seen, and their points kept.  Only key equality decides
+    what is kept, and kept points are taken in block order, so int64 keys
+    and record keys, which sort differently, keep the same points."""
     key = _cell_keys(lo, hi)
     seen = key(np.empty((lo.size, 0), dtype=np.int64))
-    kept, offset = [np.empty(0, dtype=np.int64)], 0
+    kept = [np.empty((lo.size, 0))]
     for dense in blocks:
         keys = key(np.floor(dense / resolution).astype(np.int64))
         run = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
@@ -127,9 +125,9 @@ def _first_cells(blocks, resolution: float, lo: np.ndarray, hi: np.ndarray) -> n
         new = pos == seen.size
         new[~new] = seen[pos[~new]] != cells[~new]
         seen = np.insert(seen, pos[new], cells[new])
-        kept.append(offset + run[np.sort(first[new])])
-        offset += keys.size
-    return np.concatenate(kept)
+        kept.append(dense[:, run[np.sort(first[new])]])
+    del seen  # before the cloud's one copy
+    return np.concatenate(kept, axis=1)
 
 
 # dense Hermite-fill points per block
@@ -154,8 +152,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
     each occupied cell of size resolution.
 
     The fill is made in blocks of about _FILL_POINTS points and thinned in
-    one pass (_first_cells) against cell-key ranges fixed before it starts;
-    the kept points are then evaluated again, in blocks, into the cloud.
+    one pass (_first_cells) against cell-key ranges fixed before it starts.
     On an interval from y0 to y1 = y0 + dy with slopes f0, f1 the Hermite
     value moves from y0 by at most dt|f0| + |a| + |b| <= 5|dy| + 6 dt max|f|
     per axis (a, b as in integrators._hermite), so the retained samples'
@@ -230,17 +227,7 @@ def estimate_attractor(plant: PlantSpec, exo: ExosystemSpec, sets: ScenarioSets,
              + 6.0 * dt * np.max(np.abs(f), axis=(1, 2)))
     lo = np.floor((np.min(y, axis=(1, 2)) - reach) / resolution).astype(np.int64) - 1
     hi = np.floor((np.max(y, axis=(1, 2)) + reach) / resolution).astype(np.int64) + 1
-    kept = _first_cells(blocks(), resolution, lo, hi)
-    # kept points held over the pass left their freed pieces in the heap, so
-    # they are evaluated again from their positions; _hermite is elementwise,
-    # so each has its block's bits.  A step's ~8 temporaries make one block.
-    cloud = np.empty((m, kept.size))
-    step = max(1, int(_FILL_POINTS) // 8)
-    for a in range(0, kept.size, step):
-        i, sub = np.divmod(kept[a:a + step], n_sub)  # interval, sub-position
-        i += i // (n_ret - 1)  # the interval's first sample, as a column of y
-        y0, y1, f0, f1 = (v.reshape(m, -1)[:, c] for v in (y, f) for c in (i, i + 1))
-        cloud[:, a:a + i.size] = _hermite(y0, y1, f0, f1, dt, thetas[sub])
+    cloud = _first_cells(blocks(), resolution, lo, hi)
     return AttractorEstimate(points=cloud, resolution=resolution, **common)
 
 

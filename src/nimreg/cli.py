@@ -216,14 +216,11 @@ def write_trajectory_csv(path: Path, pipe: Pipeline, report) -> None:
               + [f"w_{i + 1}" for i in range(w.shape[1])]
               + [f"xi_{i + 1}" for i in range(xi.shape[1])]
               + ["chi_norm", "graph_dist"])
+    table = np.column_stack([traj.t, e, u, v, z, w, xi, chi, gdist])
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for i in range(traj.t.size):
-            row = ([traj.t[i], e[i], u[i], v[i]]
-                   + list(z[i]) + list(w[i]) + list(xi[i])
-                   + [chi[i], gdist[i]])
-            writer.writerow([repr(float(x)) for x in row])
+        writer.writerows([repr(float(x)) for x in row] for row in table)
 
 
 def _report_items(pipe: Pipeline, report, experiment: str) -> dict:

@@ -104,18 +104,13 @@ def test_chunked_cloud_equals_the_one_chunk_cloud(monkeypatch):
     kw = dict(w0_sampler=bench.w0_sampler, transient_time=5.0, sample_time=3.0,
               resolution=2e-3)
     fills = []
-    original = nimreg.analysis._first_cells
+    original = nimreg.analysis._hermite
 
-    def counting(blocks, *args):
-        # the fill blocks the thinning pass takes, not the kept points'
-        # evaluation steps after it
-        def counted():
-            for block in blocks:
-                fills.append(None)
-                yield block
-        return original(counted(), *args)
+    def counting(*args):
+        fills.append(None)
+        return original(*args)
 
-    monkeypatch.setattr(nimreg.analysis, "_first_cells", counting)
+    monkeypatch.setattr(nimreg.analysis, "_hermite", counting)
     monkeypatch.setattr(nimreg.analysis, "_FILL_POINTS", 1e12)
     whole = estimate_attractor(bench.plant, bench.exo, sets, **kw)
     assert len(fills) == 3
@@ -270,7 +265,7 @@ def _first_cells_in_blocks(points, resolution, n_blocks):
     lo, hi = grid.min(axis=1), grid.max(axis=1)
     kind = _cell_keys(lo, hi)(grid).dtype.kind
     blocks = np.array_split(points, n_blocks, axis=1)
-    return points[:, _first_cells(blocks, resolution, lo, hi)], kind
+    return _first_cells(blocks, resolution, lo, hi), kind
 
 
 @settings(max_examples=40, deadline=None)
